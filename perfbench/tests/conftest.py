@@ -1,0 +1,7 @@
+"""Put the program (``src``) and the benchmark modules on the path."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent.parent / "src"), str(HERE.parent)]
