@@ -240,7 +240,8 @@ class ResilientSpGEMM(SpGEMMAlgorithm):
                     rep.final_algorithm = algo.name
                     rep.final_strategy = strategy
                     result.resilience = rep
-                    self._emit_ladder(result.report, rep)
+                    if OBS.observed_default():
+                        self._emit_ladder(result.report, rep)
                     return result
                 last_error = err
                 # a hash-table overflow under an estimated symbolic

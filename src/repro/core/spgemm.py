@@ -39,6 +39,7 @@ from repro.core.grouping import GroupAssignment, group_rows
 from repro.core.numeric import plan_numeric
 from repro.core.params import PWARP_WIDTH, ParamOverrides, build_group_table
 from repro.core.symbolic import plan_symbolic
+from repro.engine.plan import replay_values
 from repro.errors import AlgorithmError, RemovedAPIError
 from repro.estimate import (DEFAULT_MARGIN, DEFAULT_SAMPLES,
                             estimate_recount_kernel, estimate_row_nnz,
@@ -211,7 +212,7 @@ class HashSpGEMM(SpGEMMAlgorithm):
 
         # fresh values on the cached structure (raises PlanMismatchError
         # if the pattern behind the digest changed under us)
-        C = plan.numeric_values(A, B, p)
+        C = replay_values(plan, A, B, p)
         ctx.note_stats(n_products=plan.n_products, nnz_out=plan.nnz_out)
 
         if ctx.observed:

@@ -41,7 +41,9 @@ The merged :class:`~repro.gpu.timeline.SimReport` keeps every device
 event (kernels, allocs, grouping, plan-cache traffic) time-shifted onto
 the driver's clock -- only the per-device ``charge`` events are replaced
 by the driver's own, because two devices charging wall time concurrently
-would double-count it.
+would double-count it.  Unobserved runs
+(:func:`~repro.obs.events.observe_runs`) build none of these events; the
+clock and the phase breakdown are the same either way.
 """
 
 from __future__ import annotations
@@ -88,17 +90,24 @@ class _CommEscalation(Exception):
 
 
 class _DriverClock:
-    """Minimal charge accounting for the driver itself (no device memory)."""
+    """Minimal charge accounting for the driver itself (no device memory).
+
+    Like a run context, it builds events only when the ambient observed
+    flag (:func:`repro.obs.events.observe_runs`) is on; the clock and the
+    phase breakdown advance either way.
+    """
 
     def __init__(self) -> None:
         self.clock = 0.0
         self.phase_seconds: dict[str, float] = {p: 0.0 for p in PHASES}
         self.phase_seconds["comm"] = 0.0
         self.events: list[Event] = []
+        self.observed = OBS.observed_default()
 
     def emit(self, kind: str, name: str, **attrs) -> None:
-        self.events.append(Event(ts=self.clock, kind=kind, name=name,
-                                 attrs=attrs))
+        if self.observed:
+            self.events.append(Event(ts=self.clock, kind=kind, name=name,
+                                     attrs=attrs))
 
     def charge(self, phase: str, seconds: float, source: str,
                detail: str) -> None:
@@ -248,6 +257,8 @@ class DistSpGEMM(SpGEMMAlgorithm):
                     start=k.start + wave_start, end=k.end + wave_start,
                     n_blocks=k.n_blocks, block_seconds=k.block_seconds,
                     device=slot.device_id))
+            if not clk.observed:
+                continue
             for e in r.report.events:
                 # the driver's own charges stand in for the concurrent
                 # per-device ones (see module docstring)

@@ -8,13 +8,16 @@ pattern-keyed :class:`~repro.engine.cache.PlanCache`:
 
 * **miss** -- run the inner algorithm cold, capture its symbolic outcome
   as an :class:`~repro.engine.plan.SpGEMMPlan`, store it under the
-  device-memory budget (evicting LRU plans), and mark the run's event
-  stream with ``cache_miss`` (plus any ``cache_evict``\\ s);
+  device-memory budget (evicting LRU plans), and -- on observed runs --
+  mark the run's event stream with ``cache_miss`` (plus any
+  ``cache_evict``\\ s);
 * **hit** -- replay only the numeric phase through the inner algorithm's
   ``multiply_planned`` path on a ``numeric_only`` run context: zero
   setup/count kernels, no symbolic allocations, the output malloc
-  reduced to the fresh value array.  The run's report carries a
-  ``cache_hit`` event with the amortized ``saved_seconds``.
+  reduced to the fresh value array, and the values computed straight
+  from the pattern's retained sort recipe
+  (:func:`~repro.engine.plan.replay_values`).  The run's report carries
+  a ``cache_hit`` event with the amortized ``saved_seconds``.
 
 :meth:`SpGEMMEngine.batch` submits independent multiplies through a
 thread pool -- the suite/corpus path, where wall-clock parallelism and
@@ -146,15 +149,17 @@ class SpGEMMEngine(SpGEMMAlgorithm):
         result = self.inner.multiply(A, B, precision=p, device=device,
                                      matrix_name=matrix_name,
                                      capture=capture)
-        report = result.report
-        # the miss happened at lookup time, before the run's clock started
-        report.events.insert(0, Event(
-            ts=0.0, kind=OBS.CACHE_MISS, name=key.label(),
-            attrs={"algorithm": self.inner.name,
-                   "captured": capture.plan is not None}))
-        if capture.plan is not None:
+        evictions = ([] if capture.plan is None
+                     else self.cache.store(key, capture.plan))
+        if OBS.observed_default():
+            report = result.report
             end_ts = report.events[-1].ts if report.events else 0.0
-            for ev in self.cache.store(key, capture.plan):
+            # the miss happened at lookup time, before the run's clock started
+            report.events.insert(0, Event(
+                ts=0.0, kind=OBS.CACHE_MISS, name=key.label(),
+                attrs={"algorithm": self.inner.name,
+                       "captured": capture.plan is not None}))
+            for ev in evictions:
                 report.events.append(Event(
                     ts=end_ts, kind=OBS.CACHE_EVICT, name=ev.key.label(),
                     attrs={"plan_bytes": ev.plan.device_bytes(),

@@ -28,8 +28,8 @@ import numpy as np
 from repro import perf
 from repro.errors import PlanMismatchError
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.expansion import contract, expand_products
-from repro.sparse.product import compute_product, pattern_digest
+from repro.sparse.expansion import contract, expand_products, values_from_recipe
+from repro.sparse.product import pattern_digest, recipe_for
 
 if TYPE_CHECKING:   # pragma: no cover - typing only
     from repro.core.grouping import GroupAssignment
@@ -38,7 +38,7 @@ if TYPE_CHECKING:   # pragma: no cover - typing only
     from repro.types import Precision
 
 __all__ = ["pattern_digest", "PlanKey", "PlanCapture", "SpGEMMPlan",
-           "make_key"]
+           "make_key", "replay_values"]
 
 
 @dataclass(frozen=True)
@@ -154,36 +154,43 @@ class SpGEMMPlan:
                 precision, device)
         return self._numeric_plan
 
-    def numeric_values(self, A: CSRMatrix, B: CSRMatrix,
-                       precision: Precision) -> CSRMatrix:
-        """Recompute output values on the cached structure (fresh inputs).
 
-        The fast path reuses the content-digest-keyed
-        :class:`~repro.sparse.expansion.SortRecipe` (safe against
-        in-place mutation by construction: a mutated structure changes
-        the digest) and reduces the replay to gather + multiply +
-        ``reduceat``; ``REPRO_SCALAR_CORE=1`` re-runs the full expansion
-        + contraction instead.  Either way the resulting structure is
-        verified bit-identical to the cached one -- the differential
-        safety net behind pattern reuse.
-        """
-        if perf.scalar_core_enabled():
-            exp = expand_products(A, B, with_values=True)
-            C = contract(exp.rows, exp.cols,
-                         exp.vals.astype(np.float64, copy=False),
-                         self.shape, np.dtype(np.float64))
-            rpt, col, val = C.rpt, C.col, C.val
-        else:
-            # the product cache keys values by content and structures by
-            # anchored identity, so a stale hit is impossible; a replay
-            # of values the cold run already computed is then free
-            r = compute_product(A, B)
-            rpt, col, val = r.C.rpt, r.C.col, r.C.val
-        if not (np.array_equal(rpt, self.c_rpt)
-                and np.array_equal(col, self.c_col)):
-            raise PlanMismatchError(
-                f"plan {self.key.label()}: output structure deviates from "
-                f"the cached pattern (operands mutated in place?)")
-        return CSRMatrix(self.c_rpt, self.c_col,
-                         val.astype(precision.value_dtype), self.shape,
-                         check=False)
+def replay_values(plan, A: CSRMatrix, B: CSRMatrix,
+                  precision: Precision) -> CSRMatrix:
+    """Output of a plan-cache hit: fresh values on the plan's structure.
+
+    Serves every plan type carrying ``key``/``shape``/``c_rpt``/``c_col``
+    (:class:`SpGEMMPlan` and :class:`repro.tile.algorithm.TilePlan`).
+    The engine built ``plan.key`` from these very operands, so
+    ``plan.key.digest`` *is* their :func:`pattern_digest`: the sort
+    recipe comes straight from the recipe store under it (rebuilt only
+    if the store evicted it) and the values are one gather + multiply +
+    ``reduceat`` -- no pattern rehash, no value hashing, no full-result
+    cache.  A caller replaying a plan outside the engine must keep the
+    same precondition: on operands of another pattern the gather would
+    follow the plan's recipe.  ``REPRO_SCALAR_CORE=1`` re-runs the full
+    expansion + contraction instead.  Either way the output structure
+    must equal the cached one, else
+    :class:`~repro.errors.PlanMismatchError`; the check is free when the
+    recipe is the one the cold run's structure came from.
+    """
+    if perf.scalar_core_enabled():
+        exp = expand_products(A, B, with_values=True)
+        C = contract(exp.rows, exp.cols,
+                     exp.vals.astype(np.float64, copy=False),
+                     plan.shape, np.dtype(np.float64))
+        rpt, col, val = C.rpt, C.col, C.val
+    else:
+        recipe = recipe_for(A, B, plan.key.digest)
+        rpt, col = recipe.rpt, recipe.col
+        val = values_from_recipe(recipe, A, B)
+    if not ((rpt is plan.c_rpt and col is plan.c_col)
+            or (np.array_equal(rpt, plan.c_rpt)
+                and np.array_equal(col, plan.c_col))):
+        raise PlanMismatchError(
+            f"plan {plan.key.label()}: output structure deviates from "
+            f"the cached pattern (operands mutated in place?)")
+    # ``val`` is fresh, never a cached array, so the cast need not copy
+    return CSRMatrix(plan.c_rpt, plan.c_col,
+                     val.astype(precision.value_dtype, copy=False),
+                     plan.shape, check=False)

@@ -43,11 +43,13 @@ MAX_EVENTS = 20_000_000
 #: working sets with room to spare (each entry is a handful of records).
 _MEMO_CAPACITY = 256
 
-_memo: dict[bytes, tuple[float, tuple[KernelRecord, ...]]] = {}
+#: digest -> (end time, records)
+_memo = perf.LRUCache(_MEMO_CAPACITY)
 
 #: Per-DeviceSpec key bytes, cached by identity (the spec is frozen-by-
-#: convention; the strong reference keeps the id valid while cached).
-_device_keys: dict[int, tuple[DeviceSpec, bytes]] = {}
+#: convention; the strong reference keeps the id valid while cached):
+#: id(spec) -> (spec, key bytes).
+_device_keys = perf.LRUCache(64)
 
 
 @perf.register_cache_clearer
@@ -61,9 +63,7 @@ def _device_key(device: DeviceSpec) -> bytes:
     entry = _device_keys.get(id(device))
     if entry is None or entry[0] is not device:
         entry = (device, repr(dataclasses.astuple(device)).encode())
-        if len(_device_keys) >= 64:
-            _device_keys.pop(next(iter(_device_keys)))
-        _device_keys[id(device)] = entry
+        _device_keys.put(id(device), entry)
     return entry[1]
 
 
@@ -300,7 +300,5 @@ def simulate_phase(kernels: list[KernelLaunch], device: DeviceSpec,
         ))
     end = max(r.end for r in records)
     if key is not None:
-        if len(_memo) >= _MEMO_CAPACITY:
-            _memo.pop(next(iter(_memo)))
-        _memo[key] = (end, tuple(dataclasses.replace(r) for r in records))
+        _memo.put(key, (end, tuple(dataclasses.replace(r) for r in records)))
     return PhaseSchedule(start=start_time, end=end, records=records)

@@ -3,19 +3,29 @@
 Every algorithm in this package computes the same functional result (the
 canonical ``C = A @ B``) and the same per-row statistics; only the *cost
 accounting* differs.  On this reproduction's CPU substrate the expansion +
-contraction is by far the most expensive functional step, so two memo
-layers sit in front of it:
+contraction is by far the most expensive functional step, so two stores
+sit in front of it:
 
 * a full-result cache keyed by operand identity + value content, serving
-  byte-for-byte repeats (the benchmark suites' pattern);
-* a :class:`~repro.sparse.expansion.SortRecipe` cache keyed by a content
-  digest of the sparsity *patterns*, serving iterative workloads that
-  refresh values on a fixed structure.  A recipe hit replaces the
-  dominant lexsort with a gather + multiply + ``reduceat`` that is
-  bit-identical by construction (``tests/test_vectorized.py`` holds it
-  to that); ``REPRO_SCALAR_CORE=1`` bypasses it entirely.
+  byte-for-byte repeats (the benchmark suites' pattern: four algorithms
+  squaring one matrix);
+* the *recipe store*: one :class:`~repro.sparse.expansion.SortRecipe` per
+  pair of sparsity patterns, keyed by :func:`pattern_digest`.  A recipe
+  is everything value-independent about a product -- the sort
+  permutation, the duplicate-run boundaries and the output structure --
+  so a seen pattern costs a gather + multiply + ``reduceat`` instead of
+  the dominant stable sort, bit-identical by construction
+  (``tests/test_vectorized.py`` holds it to that).  Fresh-value
+  iterates, plan-cache replays (:func:`repro.engine.plan.replay_values`,
+  which pass the digest their plan key already carries, so nothing is
+  rehashed and no values are hashed) and the tuner's sketch all read it.
 
-Both caches are invisible in the simulated timings (which are derived
+The recipe store is an LRU bounded by host bytes
+(:data:`RECIPE_BUDGET_BYTES`, sized from measured working sets); a
+recipe larger than the whole budget is kept alone as the newest entry.
+``REPRO_SCALAR_CORE=1`` computes every product without recipes.
+
+Both stores are invisible in the simulated timings (which are derived
 from the work model, not from wall-clock).  Values are accumulated in
 float64 once and cast per requested precision; the device algorithms
 would accumulate in their own precision with nondeterministic ordering,
@@ -40,13 +50,17 @@ from repro.types import Precision
 #: functional product for every algorithm.
 _CACHE_CAPACITY = 16
 
-_cache: dict[tuple, "ProductResult"] = {}
+_cache = perf.LRUCache(_CACHE_CAPACITY)
 
-#: Retained sort recipes (pattern-keyed).  An iterative workload touches
-#: one or two patterns at a time; the MCL legs cycle a few more.
-_RECIPE_CAPACITY = 8
+#: Host-byte budget of the recipe store.  Measured working sets: a
+#: 2-device serving pool cycles 18 solver-panel recipes (2.56 MiB in
+#: all) past never-reused graph panels of ~100-120 KiB; the E16 iterate's
+#: recipe is 8.01 MiB and one MCL run adds 7 more (2.78 MiB), so under
+#: ~10.8 MiB that loop rebuilds recipes every round.  16 MiB cost the
+#: serving benchmark 3% peak RSS, 64 MiB 23%.
+RECIPE_BUDGET_BYTES = 16 << 20
 
-_recipes: dict[str, SortRecipe] = {}
+_recipes = perf.LRUCache(RECIPE_BUDGET_BYTES, size=SortRecipe.nbytes)
 
 
 class ProductResult(NamedTuple):
@@ -86,7 +100,7 @@ def _key(A: CSRMatrix, B: CSRMatrix) -> tuple:
 
     Repeated runs of the same matrix object (the benchmark suite's
     pattern) hit; value-only updates on a shared structure miss the
-    full-result cache (and land on the recipe cache), keeping the
+    full-result cache (and land on the recipe store), keeping the
     functional layer exact."""
     a_tag = _val_tag(A.val)
     b_tag = a_tag if B.val is A.val else _val_tag(B.val)
@@ -112,22 +126,23 @@ def pattern_digest(A: CSRMatrix, B: CSRMatrix) -> str:
     return h.hexdigest()
 
 
-def recipe_for(A: CSRMatrix, B: CSRMatrix) -> SortRecipe:
-    """The sort recipe for the operand *patterns*, cached by content digest.
+def recipe_for(A: CSRMatrix, B: CSRMatrix,
+               digest: str | None = None) -> SortRecipe:
+    """The sort recipe for the operand *patterns*, from the recipe store.
 
-    Content keying makes staleness impossible: mutating a structure
+    ``digest`` is :func:`pattern_digest` of ``(A, B)`` when the caller
+    already holds it (a plan key carries it); otherwise it is computed
+    here.  Content keying makes staleness impossible: mutating a structure
     array in place changes the digest and misses.  The returned arrays
     are shared by every product computed from the same pattern and must
     be treated as read-only (as the CSR structure arrays already are).
     """
-    digest = pattern_digest(A, B)
-    hit = _recipes.get(digest)
-    if hit is not None:
-        return hit
-    recipe = build_sort_recipe(A, B)
-    if len(_recipes) >= _RECIPE_CAPACITY:
-        _recipes.pop(next(iter(_recipes)))
-    _recipes[digest] = recipe
+    if digest is None:
+        digest = pattern_digest(A, B)
+    recipe = _recipes.get(digest)
+    if recipe is None:
+        recipe = build_sort_recipe(A, B)
+        _recipes.put(digest, recipe)
     return recipe
 
 
@@ -150,9 +165,7 @@ def compute_product(A: CSRMatrix, B: CSRMatrix) -> ProductResult:
         row_counts = recipe.row_counts
     result = ProductResult(anchors=(A.rpt, A.col, B.rpt, B.col),
                            row_products=row_counts.astype(np.int64), C=C)
-    if len(_cache) >= _CACHE_CAPACITY:
-        _cache.pop(next(iter(_cache)))
-    _cache[key] = result
+    _cache.put(key, result)
     return result
 
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.base import SpGEMMAlgorithm, SpGEMMResult
+from repro.engine.plan import replay_values
 from repro.errors import PlanMismatchError
 from repro.gpu.device import P100, DeviceSpec
 from repro.gpu.faults import FaultPlan
@@ -86,33 +87,6 @@ class TilePlan:
             raise PlanMismatchError(
                 f"plan {self.key.label()} shaped {self.shape} cannot serve "
                 f"operands {A.shape} x {B.shape}")
-
-    def numeric_values(self, A: CSRMatrix, B: CSRMatrix,
-                       precision: Precision) -> CSRMatrix:
-        """Recompute output values on the cached structure, verifying the
-        pattern still matches (same differential safety net as
-        :meth:`repro.engine.plan.SpGEMMPlan.numeric_values`)."""
-        from repro import perf
-        from repro.sparse.expansion import contract, expand_products
-        from repro.sparse.product import compute_product
-
-        if perf.scalar_core_enabled():
-            exp = expand_products(A, B, with_values=True)
-            C = contract(exp.rows, exp.cols,
-                         exp.vals.astype(np.float64, copy=False),
-                         self.shape, np.dtype(np.float64))
-            rpt, col, val = C.rpt, C.col, C.val
-        else:
-            r = compute_product(A, B)
-            rpt, col, val = r.C.rpt, r.C.col, r.C.val
-        if not (np.array_equal(rpt, self.c_rpt)
-                and np.array_equal(col, self.c_col)):
-            raise PlanMismatchError(
-                f"plan {self.key.label()}: output structure deviates from "
-                f"the cached pattern (operands mutated in place?)")
-        return CSRMatrix(self.c_rpt, self.c_col,
-                         val.astype(precision.value_dtype), self.shape,
-                         check=False)
 
 
 class TileSpGEMM(SpGEMMAlgorithm):
@@ -221,8 +195,6 @@ class TileSpGEMM(SpGEMMAlgorithm):
         _ = (a_buf, b_buf, c_buf)  # stay live: peak accounting
 
         if capture is not None:
-            from repro.engine.plan import PlanCapture  # noqa: F401
-
             capture.plan = TilePlan(
                 key=capture.key,
                 shape=C.shape,
@@ -273,7 +245,7 @@ class TileSpGEMM(SpGEMMAlgorithm):
         b_buf = ctx.alloc_resident("B", B.device_bytes(p)) if B is not A else None
         plan_buf = ctx.alloc_resident("plan_cache", plan.device_bytes())
 
-        C = plan.numeric_values(A, B, p)
+        C = replay_values(plan, A, B, p)
         ctx.note_stats(n_products=plan.n_products, nnz_out=plan.nnz_out)
         if ctx.observed:
             ctx.emit_each(OBS.GROUPING, "tile", plan.grouping_stats)

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.product import product_for
-from repro.types import Precision
+from repro.sparse.product import recipe_for
 
 
 @dataclass(frozen=True)
@@ -85,14 +84,15 @@ class MatrixSketch:
 def sketch_matrix(A: CSRMatrix, B: CSRMatrix) -> MatrixSketch:
     """Sketch the product ``A @ B``.
 
-    Uses the cached structural expansion (:func:`repro.sparse.product.
-    product_for`) that the multiply itself would compute, so sketching
-    before multiplying costs one extra histogram, not a second expansion.
+    Reads the per-row product counts and the output structure off the
+    pattern's sort recipe (:func:`repro.sparse.product.recipe_for`), the
+    one the multiply itself uses, so sketching costs one histogram: no
+    values are computed or hashed here.
     """
-    row_products, C = product_for(A, B, Precision.DOUBLE)
-    row_products = np.asarray(row_products, dtype=np.int64)
+    recipe = recipe_for(A, B)
+    row_products = recipe.row_counts.astype(np.int64)
     row_nnz_a = A.row_nnz().astype(np.int64)
-    row_nnz_out = C.row_nnz().astype(np.int64)
+    row_nnz_out = np.diff(recipe.rpt).astype(np.int64)
 
     # bucket index = bit_length of the product count (0 for empty rows)
     k = np.zeros(row_products.shape[0], dtype=np.int64)

@@ -281,6 +281,32 @@ class TestBatch:
         assert isinstance(out[0].matrix, CSRMatrix)
         assert isinstance(out[1], repro.ReproError)
 
+    def test_batch_survives_concurrent_cache_evictions(self):
+        """Eight workers over 400 distinct patterns overflow the product
+        cache, the recipe store and the scheduler's phase memo at once.
+        With a tiny switch interval, an unlocked eviction lets two threads
+        pop the same key, and the ``KeyError`` would escape ``batch``
+        (which returns only ``ReproError`` instances)."""
+        import sys
+
+        from repro import perf
+
+        mats = [generators.random_csr(40, 40, 3,
+                                      rng=np.random.default_rng(i))
+                for i in range(400)]
+        perf.clear_fast_caches()
+        eng = SpGEMMEngine("proposal")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = eng.batch([(m, m) for m in mats], max_workers=8,
+                            return_errors=True)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(isinstance(r.matrix, CSRMatrix) for r in out)
+        for m, r in zip(mats[:20], out):
+            assert r.matrix.allclose(repro.spgemm_reference(m, m))
+
 
 class TestIntegration:
     def test_registry_and_top_level_dispatch(self, A):

@@ -8,8 +8,9 @@ Tier-1 stays wall-clock-free; these tests run only under ``-m perf``
   benchmark (the calibrated 1.5x fence lives in the SCHEMA-5 slice of
   ``benchmarks/regression.py``);
 * the unobserved fast path (``SpGEMMOptions(observe=False)`` /
-  ``observe_runs(False)``) emits *zero* events while the observed run of
-  the same multiply emits the full stream with identical results and
+  ``observe_runs(False)``) emits *zero* events -- through the dist,
+  engine, resilience and tuning wrappers too -- while the observed run
+  of the same multiply emits the full stream with identical results and
   identical modeled seconds.
 """
 
@@ -42,16 +43,25 @@ def test_e16_mini_suite_under_ceiling():
         f"E16 iterative pass took {elapsed:.3f}s (ceiling {E16_CEILING_SECONDS}s)"
 
 
-def _pair(A, *, observe: bool):
+def _pair(A, fields: dict, *, observe: bool):
     perf.clear_fast_caches()
-    opts = repro.SpGEMMOptions(algorithm="proposal", observe=observe)
+    opts = repro.SpGEMMOptions(algorithm="proposal", observe=observe,
+                               **fields)
     return repro.multiply(A, A, options=opts)
 
 
-def test_unobserved_emits_zero_events():
+#: The plain run plus each wrapper layer that frames a run with events
+#: of its own: the dist driver, the plan-cache engine, the resilience
+#: ladder and the tuner.
+WRAPPERS = {"plain": {}, "dist": {"devices": 2}, "engine": {"engine": True},
+            "resilient": {"resilient": True}, "tune": {"tune": True}}
+
+
+@pytest.mark.parametrize("fields", list(WRAPPERS.values()), ids=list(WRAPPERS))
+def test_unobserved_emits_zero_events(fields):
     A = generators.banded(300, 10, rng=np.random.default_rng(3))
-    observed = _pair(A, observe=True)
-    silent = _pair(A, observe=False)
+    observed = _pair(A, fields, observe=True)
+    silent = _pair(A, fields, observe=False)
 
     assert len(observed.report.events) > 0
     assert silent.report.events == []

@@ -1,11 +1,15 @@
 """Tests for the cached functional product and matrix statistics."""
 
 import numpy as np
+import pytest
 
-from repro.sparse import generators
+from repro import perf
+from repro.sparse import generators, product
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.expansion import build_sort_recipe
 from repro.sparse.product import (clear_cache, compute_product, product_for,
-                                  _cache)
+                                  recipe_for, _cache)
+from repro.sparse.reference import spgemm_reference
 from repro.sparse.stats import compute_stats
 from repro.types import Precision
 
@@ -67,6 +71,125 @@ class TestProductCache:
         stats = compute_stats(A, name="x")
         assert res.n_products == stats.n_products
         np.testing.assert_array_equal(res.row_products, stats.row_products)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts the sort-recipe builds behind the recipe store."""
+    calls = []
+
+    def counted(A, B):
+        calls.append((A.shape, B.shape))
+        return build_sort_recipe(A, B)
+
+    monkeypatch.setattr(product, "build_sort_recipe", counted)
+    return calls
+
+
+def _fresh(P, rng):
+    return CSRMatrix(P.rpt, P.col, P.val * rng.uniform(0.5, 1.5, P.nnz),
+                     P.shape, check=False)
+
+
+class TestRecipeStore:
+    """The pattern-keyed LRU of sort recipes, bounded by host bytes (the
+    vectorized core's store: ``REPRO_SCALAR_CORE=1`` bypasses it)."""
+
+    @pytest.fixture(autouse=True)
+    def vectorized_core(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SCALAR_CORE", raising=False)
+        perf.clear_fast_caches()
+
+    def _mats(self, n):
+        return [generators.banded(60 + 10 * i, 5,
+                                  rng=np.random.default_rng(i))
+                for i in range(n)]
+
+    def test_served_pool_builds_each_panel_recipe_once(self, builds):
+        """Plan-cache hits on a 2-device pool replay from retained
+        recipes: 9 patterns (18 row panels) cycled with fresh values for
+        3 rounds build 18 recipes, not one per panel run."""
+        from repro.options import SpGEMMOptions, runner_for
+
+        shapes = (lambda r: generators.banded(300, 8, rng=r),
+                  lambda r: generators.power_law(260, 6, 40, rng=r),
+                  lambda r: generators.rmat(8, 4, rng=r))
+        patterns = [make(np.random.default_rng(10 * d + k))
+                    for d in range(3) for k, make in enumerate(shapes)]
+        runner = runner_for(SpGEMMOptions(devices=2))
+        values = np.random.default_rng(0)
+        runs = []
+        for _ in range(3):
+            for P in patterns:
+                M = _fresh(P, values)
+                runs.append((M, runner.multiply(M, M).matrix))
+        assert len(builds) == 2 * len(patterns)
+        for M, got in runs:
+            assert got.allclose(spgemm_reference(M, M), rtol=1e-12)
+
+    def test_eviction_is_least_recently_used(self, builds, monkeypatch):
+        P1, P2, P3 = self._mats(3)
+        sizes = [build_sort_recipe(P, P).nbytes() for P in (P1, P2, P3)]
+        # room for P1 and P3, not for all three
+        monkeypatch.setattr(product._recipes, "budget",
+                            sizes[0] + sizes[2] + sizes[1] // 2)
+        for P in (P1, P2, P1, P3):      # P1 touched after P2
+            recipe_for(P, P)
+        assert len(builds) == 3
+        recipe_for(P1, P1)              # survived: most recently used
+        assert len(builds) == 3
+        recipe_for(P2, P2)              # evicted, although newer than P1
+        assert len(builds) == 4
+
+    def test_byte_total_tracks_entries_and_clears(self):
+        mats = self._mats(3)
+        for P in mats:
+            recipe_for(P, P)
+        assert product._recipes.total == sum(
+            build_sort_recipe(P, P).nbytes() for P in mats)
+        perf.clear_fast_caches()
+        assert product._recipes.total == 0 and len(product._recipes) == 0
+
+    def test_recipe_over_budget_is_kept_alone(self, builds, monkeypatch):
+        P1, P2 = self._mats(2)
+        small = build_sort_recipe(P1, P1).nbytes()
+        monkeypatch.setattr(product._recipes, "budget", small)
+        recipe_for(P1, P1)
+        big = recipe_for(P2, P2)        # larger than the whole budget
+        assert big.nbytes() > small
+        assert len(product._recipes) == 1
+        assert product._recipes.total == big.nbytes()
+        assert recipe_for(P2, P2) is big and len(builds) == 2
+
+    def test_plan_hit_hashes_neither_pattern_twice_nor_values(
+            self, monkeypatch):
+        """A replay reads its recipe by the digest the plan key already
+        carries: one pattern hash (the key), no value hash."""
+        from repro.engine import SpGEMMEngine
+
+        A = self._mats(1)[0]
+        eng = SpGEMMEngine("proposal")
+        eng.multiply(A, A)
+        calls = {"pattern": 0, "values": 0}
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(product, "pattern_digest",
+                            counting("pattern", product.pattern_digest))
+        monkeypatch.setattr("repro.engine.plan.pattern_digest",
+                            product.pattern_digest)
+        monkeypatch.setattr(product, "_val_tag",
+                            counting("values", product._val_tag))
+        A2 = _fresh(A, np.random.default_rng(1))
+        hit = eng.multiply(A2, A2)
+        assert eng.stats().hits == 1
+        assert calls == {"pattern": 1, "values": 0}
+        assert np.array_equal(hit.matrix.val,
+                              compute_product(A2, A2).C.val)
 
 
 class TestStats:
