@@ -13,16 +13,17 @@ Recorded as a known model limitation in EXPERIMENTS.md.
 """
 
 from repro.bench.datasets import HIGH_THROUGHPUT, get_dataset
-from repro.core.spgemm import hash_spgemm
+from repro.core.spgemm import HashSpGEMM
 
 from benchmarks.conftest import run_once
 
 
 def _compare(name: str):
     A = get_dataset(name).matrix()
-    grouped = hash_spgemm(A, A, precision="single", matrix_name=name)
-    uniform = hash_spgemm(A, A, precision="single", matrix_name=name,
-                          uniform_tb=True)
+    grouped = HashSpGEMM().multiply(A, A, precision="single",
+                                    matrix_name=name)
+    uniform = HashSpGEMM(uniform_tb=True).multiply(
+        A, A, precision="single", matrix_name=name)
     return grouped, uniform
 
 

@@ -8,17 +8,17 @@ serial rpt_B -> col_B chain then dominate.
 """
 
 from repro.bench.datasets import LOW_THROUGHPUT, get_dataset
-from repro.core.spgemm import hash_spgemm
+from repro.core.spgemm import HashSpGEMM
 
 from benchmarks.conftest import run_once
 
 
 def _ratio(name: str) -> tuple[float, float, float]:
     A = get_dataset(name).matrix()
-    with_pwarp = hash_spgemm(A, A, precision="single",
-                             matrix_name=name).report.total_seconds
-    without = hash_spgemm(A, A, precision="single", matrix_name=name,
-                          use_pwarp=False).report.total_seconds
+    with_pwarp = HashSpGEMM().multiply(
+        A, A, precision="single", matrix_name=name).report.total_seconds
+    without = HashSpGEMM(use_pwarp=False).multiply(
+        A, A, precision="single", matrix_name=name).report.total_seconds
     return with_pwarp, without, without / with_pwarp
 
 

@@ -7,7 +7,7 @@ lowest-degree matrices.
 """
 
 from repro.bench.datasets import get_dataset
-from repro.core.spgemm import hash_spgemm
+from repro.core.spgemm import HashSpGEMM
 
 from benchmarks.conftest import run_once
 
@@ -20,8 +20,9 @@ def _sweep():
     for name in MATRICES:
         A = get_dataset(name).matrix()
         out[name] = {
-            w: hash_spgemm(A, A, precision="single", matrix_name=name,
-                           pwarp_width=w).report.total_seconds
+            w: HashSpGEMM(pwarp_width=w).multiply(
+                A, A, precision="single",
+                matrix_name=name).report.total_seconds
             for w in WIDTHS
         }
     return out

@@ -7,17 +7,17 @@ analogue and on the rest of the low-throughput suite.
 """
 
 from repro.bench.datasets import LOW_THROUGHPUT, get_dataset
-from repro.core.spgemm import hash_spgemm
+from repro.core.spgemm import HashSpGEMM
 
 from benchmarks.conftest import run_once
 
 
 def _ratio(name: str) -> tuple[float, float, float]:
     A = get_dataset(name).matrix()
-    with_streams = hash_spgemm(A, A, precision="single",
-                               matrix_name=name).report.total_seconds
-    without = hash_spgemm(A, A, precision="single", matrix_name=name,
-                          use_streams=False).report.total_seconds
+    with_streams = HashSpGEMM().multiply(
+        A, A, precision="single", matrix_name=name).report.total_seconds
+    without = HashSpGEMM(use_streams=False).multiply(
+        A, A, precision="single", matrix_name=name).report.total_seconds
     return with_streams, without, without / with_streams
 
 

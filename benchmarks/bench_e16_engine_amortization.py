@@ -43,7 +43,7 @@ def test_e16_engine_amortization(benchmark, show):
     G = generators.block_dense(120, 12, rng=0)
 
     def run():
-        cold = [repro.spgemm(M, M) for M in mats]
+        cold = [repro.multiply(M, M) for M in mats]
         eng = SpGEMMEngine("proposal")
         warm = [eng.multiply(M, M) for M in mats]
         mcl_on = markov_cluster(G, max_iters=15)

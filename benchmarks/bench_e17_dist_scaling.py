@@ -66,7 +66,7 @@ def test_e17_dist_strong_scaling(benchmark, show):
 
     # the distributed result is bit-identical to a single-device multiply
     A = get_dataset(DATASETS[0]).matrix()
-    single = repro.spgemm(A, A, precision="single")
+    single = repro.multiply(A, A, precision="single")
     from repro.dist import DistSpGEMM
     dist = DistSpGEMM(n_devices=4, interconnect="nvlink")
     C = dist.multiply(A, A, precision="single").matrix

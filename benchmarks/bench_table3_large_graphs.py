@@ -100,17 +100,19 @@ def test_e14_resilience_recovery(benchmark, show):
     A = ds.matrix()
 
     def run():
-        plain = repro.spgemm(A, A, algorithm="proposal", precision="single",
-                             matrix_name=ds.name)
+        plain = repro.multiply(A, A, algorithm="proposal",
+                               precision="single", matrix_name=ds.name)
         budget = int(0.7 * plain.report.peak_bytes)
         try:
-            repro.spgemm(A, A, algorithm="proposal", precision="single",
-                         device=P100.with_memory(budget), matrix_name=ds.name)
+            repro.multiply(A, A, algorithm="proposal", precision="single",
+                           device=P100.with_memory(budget),
+                           matrix_name=ds.name)
             oomed = False
         except DeviceMemoryError:
             oomed = True
-        res = repro.spgemm(A, A, algorithm="resilient", precision="single",
-                           memory_budget=budget, matrix_name=ds.name)
+        res = repro.multiply(A, A, algorithm="resilient",
+                             precision="single", memory_budget=budget,
+                             matrix_name=ds.name)
         return plain, budget, oomed, res
 
     plain, budget, oomed, res = run_once(benchmark, run)

@@ -12,6 +12,15 @@ Stream semantics follow CUDA: kernels on the same stream serialize in
 issue order; kernels on different streams co-schedule whenever SM
 resources allow.  Passing ``use_streams=False`` forces serialization --
 that switch is the paper's Section IV-C stream ablation (x1.3 on Circuit).
+
+Two exact implementations share that model.  A phase whose launches all
+serialize (one stream, or ``use_streams=False``) is list-scheduled onto
+*lanes*, the kernel's resident-block slots: each kernel starts on an
+empty device, every block has one footprint, so FIFO dispatch starts
+each block at the earliest lane-free time and the SM it lands on never
+changes a timestamp.  Phases with launches on two or more streams (the
+proposal's per-group kernels, Section IV-C) run the discrete-event loop,
+which tracks per-SM threads, shared memory and block slots.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import heapq
+import math
 from bisect import insort
 from dataclasses import dataclass
 
@@ -152,9 +162,10 @@ def simulate_phase(kernels: list[KernelLaunch], device: DeviceSpec,
     content digest of exactly those inputs: iterative workloads replay
     identical kernel sets at identical clock offsets every iteration,
     and a hit returns bit-identical records (stored with absolute
-    timestamps) without re-running the event loop.  Fault plans always
-    simulate live (``check_kernel`` is stateful), and
-    ``REPRO_SCALAR_CORE=1`` disables the memo outright.
+    timestamps) without re-running the schedule.  Fault plans always
+    simulate live (``check_kernel`` is stateful).  ``REPRO_SCALAR_CORE=1``
+    disables the memo and runs every phase through the event loop, the
+    reference the lane schedule is pinned to.
     """
     if not kernels:
         return PhaseSchedule(start=start_time, end=start_time, records=[])
@@ -168,8 +179,9 @@ def simulate_phase(kernels: list[KernelLaunch], device: DeviceSpec,
                     f"(injected: {event.rule})")
 
     p = Precision.parse(precision)
+    scalar = perf.scalar_core_enabled()
     key: bytes | None = None
-    if faults is None and not perf.scalar_core_enabled():
+    if faults is None and not scalar:
         key = _phase_key(kernels, device, p, start_time, use_streams)
         hit = _memo.get(key)
         if hit is not None:
@@ -177,8 +189,70 @@ def simulate_phase(kernels: list[KernelLaunch], device: DeviceSpec,
             return PhaseSchedule(start=start_time, end=end,
                                  records=[dataclasses.replace(r)
                                           for r in records])
-    states = [_KernelState(i, k, block_durations(k, device, p), device)
-              for i, k in enumerate(kernels)]
+    durations = [block_durations(k, device, p) for k in kernels]
+    serial = not use_streams or all(k.stream == kernels[0].stream
+                                    for k in kernels)
+    if serial and not scalar:
+        records = _lane_schedule(kernels, durations, device, start_time,
+                                 use_streams)
+    else:
+        records = _event_loop(kernels, durations, device, start_time,
+                              use_streams)
+    end = max(r.end for r in records)
+    if key is not None:
+        _memo.put(key, (end, tuple(dataclasses.replace(r) for r in records)))
+    return PhaseSchedule(start=start_time, end=end, records=records)
+
+
+def _lane_schedule(kernels: list[KernelLaunch], durations: list[np.ndarray],
+                   device: DeviceSpec, start_time: float,
+                   use_streams: bool) -> list[KernelRecord]:
+    """Records of a phase whose launches all serialize, without events.
+
+    Kernel ``i`` is ready at ``max(predecessor's finish, its issue
+    time)`` and then owns an empty device: ``blocks_per_sm x sm_count``
+    identical lanes.  Blocks start in index order at the earliest
+    lane-free time (``now + d``, the event loop's float expression), so
+    the records equal :func:`_event_loop`'s bit for bit.
+    """
+    if sum(len(d) for d in durations) + len(kernels) > MAX_EVENTS:
+        raise SchedulerError("event budget exceeded; runaway simulation")
+    issue_gap = device.kernel_launch_us * 1e-6
+    records = []
+    finish = -math.inf
+    for i, (k, d) in enumerate(zip(kernels, durations)):
+        if d.shape[0] == 0:
+            raise SchedulerError(
+                f"{len(kernels) - i} kernels never completed "
+                "(dispatch deadlock)")
+        ready = max(finish, start_time + (i + 1) * issue_gap)
+        lanes = occupancy_for(device, k.block_threads,
+                              k.shared_bytes_per_block).blocks_per_sm \
+            * device.sm_count
+        h = (ready + d[:lanes]).tolist()
+        heapq.heapify(h)
+        for x in d[lanes:].tolist():
+            heapq.heapreplace(h, h[0] + x)
+        finish = max(h)
+        records.append(KernelRecord(
+            name=k.name, phase=k.phase,
+            stream=k.stream if use_streams else 0,
+            start=float(ready), end=finish, n_blocks=d.shape[0],
+            block_seconds=float(d.sum())))
+    return records
+
+
+def _event_loop(kernels: list[KernelLaunch], durations: list[np.ndarray],
+                device: DeviceSpec, start_time: float,
+                use_streams: bool) -> list[KernelRecord]:
+    """Discrete-event simulation of FIFO block dispatch onto SMs.
+
+    Tracks every SM's free threads, shared memory and block slots, so
+    kernels on different streams co-schedule whenever they fit; the
+    general case, and the reference :func:`_lane_schedule` is pinned to.
+    """
+    states = [_KernelState(i, k, d, device)
+              for i, (k, d) in enumerate(zip(kernels, durations))]
 
     # stream predecessor chains (all on one stream when streams disabled)
     prev_on_stream: dict[int, int] = {}
@@ -298,7 +372,4 @@ def simulate_phase(kernels: list[KernelLaunch], device: DeviceSpec,
             n_blocks=st.n_blocks,
             block_seconds=float(st.durations.sum()),
         ))
-    end = max(r.end for r in records)
-    if key is not None:
-        _memo.put(key, (end, tuple(dataclasses.replace(r) for r in records)))
-    return PhaseSchedule(start=start_time, end=end, records=records)
+    return records

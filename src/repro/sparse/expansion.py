@@ -150,60 +150,85 @@ class SortRecipe(NamedTuple):
                     self.col, self.row_counts))
 
 
+def _fused_key_dtype(n_rows: int, n_cols: int):
+    """Narrowest integer dtype holding every ``row * n_cols + col`` key of
+    an ``n_rows x n_cols`` output, or ``None`` when int64 might overflow."""
+    cells = n_rows * n_cols
+    if cells < 2**31:
+        return np.int32
+    return np.int64 if cells < 2**62 else None
+
+
 def build_sort_recipe(A, B) -> SortRecipe:
     """Capture the sort/merge structure of ``A @ B`` (values untouched).
 
     The per-product A index is position ``j`` repeated over run ``j``'s
     length and the B index is the same ``b_flat`` the expansion gathers;
-    both are then permuted by the (row, col) lexsort that
-    :func:`contract` would apply, so gathering values through them and
-    reducing at ``starts`` reproduces the contraction exactly.
+    both are then permuted by the (row, col) sort that :func:`contract`
+    would apply, so gathering values through them and reducing at
+    ``starts`` reproduces the contraction exactly.
+
+    Products are emitted row by row, so one stable argsort of the fused
+    key ``row * n_cols + col`` equals ``lexsort((cols, rows))``.  The
+    row part is built once per A nonzero and repeated once; the key is
+    int32 whenever every value fits, which halves the sort's traffic.
     """
     check_multiplicable(A, B)
-    shape = (A.n_rows, B.n_cols)
+    n_rows, n_cols = A.n_rows, B.n_cols
+    shape = (n_rows, n_cols)
     b_row_nnz = np.diff(B.rpt)
     run_len = b_row_nnz[A.col]
     total = int(run_len.sum())
-    row_counts = np.zeros(A.n_rows, dtype=INDEX_DTYPE)
-    nz_rows = np.diff(A.rpt) > 0
+    row_counts = np.zeros(n_rows, dtype=INDEX_DTYPE)
+    a_row_nnz = np.diff(A.rpt)
+    nz_rows = a_row_nnz > 0
     a_starts = A.rpt[:-1][nz_rows]
     if a_starts.size:
         row_counts[nz_rows] = np.add.reduceat(run_len, a_starts)
 
     empty_i = np.empty(0, dtype=INDEX_DTYPE)
     if total == 0:
-        rpt = np.zeros(A.n_rows + 1, dtype=INDEX_DTYPE)
+        rpt = np.zeros(n_rows + 1, dtype=INDEX_DTYPE)
         return SortRecipe(empty_i, empty_i.copy(), empty_i.copy(), rpt,
                           empty_i.copy(), row_counts, shape)
 
     run_offsets = np.concatenate(([0], np.cumsum(run_len)[:-1]))
-    within = np.arange(total, dtype=INDEX_DTYPE) - np.repeat(run_offsets, run_len)
-    b_flat = np.repeat(B.rpt[A.col], run_len) + within
-    a_flat = np.repeat(np.arange(A.col.shape[0], dtype=INDEX_DTYPE), run_len)
+    b_flat = np.arange(total, dtype=INDEX_DTYPE)
+    b_flat += np.repeat(B.rpt[A.col] - run_offsets, run_len)
 
-    a_rows = np.repeat(np.arange(A.n_rows, dtype=INDEX_DTYPE), np.diff(A.rpt))
-    rows = np.repeat(a_rows, run_len)
-    cols = B.col[b_flat]
-
-    # rows are nondecreasing by construction, so a single stable argsort
-    # of the fused (row, col) key equals lexsort((cols, rows)) -- same
-    # permutation, one sort pass instead of two.  Guard the fusion
-    # against int64 overflow for pathological shapes.
-    if A.n_rows * B.n_cols < 2**62:
-        order = np.argsort(rows * np.int64(B.n_cols) + cols, kind="stable")
+    kdt = _fused_key_dtype(n_rows, n_cols)
+    if kdt is not None:
+        row_key = np.repeat(np.arange(n_rows, dtype=kdt) * kdt(n_cols),
+                            a_row_nnz)
+        key = np.repeat(row_key, run_len)
+        key += B.col.astype(kdt, copy=False)[b_flat]
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        boundary = key[1:] != key[:-1]
     else:   # pragma: no cover - needs a >2^31-column matrix
+        rows = np.repeat(np.repeat(np.arange(n_rows, dtype=INDEX_DTYPE),
+                                   a_row_nnz), run_len)
+        cols = B.col[b_flat]
         order = np.lexsort((cols, rows))
-    r, c = rows[order], cols[order]
-    new_run = np.empty(r.shape[0], dtype=bool)
-    new_run[0] = True
-    new_run[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
-    starts = np.flatnonzero(new_run)
-    out_col = c[starts]
-    counts = np.bincount(r[starts], minlength=A.n_rows)
-    rpt = np.zeros(A.n_rows + 1, dtype=INDEX_DTYPE)
-    np.cumsum(counts, out=rpt[1:])
-    return SortRecipe(a_flat[order], b_flat[order], starts, rpt, out_col,
-                      row_counts, shape)
+        r, c = rows[order], cols[order]
+        boundary = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+    starts = np.concatenate(([0], np.flatnonzero(boundary) + 1))
+    b_idx = b_flat[order]
+    a_idx = np.repeat(np.arange(A.col.shape[0], dtype=INDEX_DTYPE),
+                      run_len)[order]
+    out_col = B.col[b_idx[starts]]
+    # every output row opens a run where its products begin
+    prod_rpt = np.concatenate(([0], np.cumsum(row_counts)))
+    rpt = np.searchsorted(starts, prod_rpt).astype(INDEX_DTYPE, copy=False)
+    return SortRecipe(a_idx, b_idx, starts, rpt, out_col, row_counts, shape)
+
+
+#: Products per replay chunk.  A replay's per-product temporaries never
+#: exceed it (256 KiB of float64), so malloc recycles them from its heap:
+#: a whole-recipe temporary (3 MiB for E16's iterate) is served from
+#: fresh pages, and re-faulted on every call, whenever the heap holds no
+#: free block that large.
+REPLAY_CHUNK = 1 << 15
 
 
 def values_from_recipe(recipe: SortRecipe, A, B) -> np.ndarray:
@@ -212,13 +237,24 @@ def values_from_recipe(recipe: SortRecipe, A, B) -> np.ndarray:
     Bit-identical to the :func:`expand_products` + :func:`contract` pair:
     the same value pairs are multiplied in the same operand dtype, cast
     to float64, and reduced over the same boundaries in the same order --
-    only the lexsort itself is skipped.
+    only the lexsort itself is skipped.  The replay walks the recipe in
+    chunks of whole duplicate runs, about :data:`REPLAY_CHUNK` products
+    each, and ``reduceat`` reduces each run alone either way.
     """
-    if recipe.n_products == 0:
-        return np.empty(0, dtype=np.float64)
-    v = (A.val[recipe.a_idx] * B.val[recipe.b_idx]).astype(np.float64,
-                                                           copy=False)
-    return np.add.reduceat(v, recipe.starts)
+    starts = recipe.starts
+    n_runs = starts.shape[0]
+    out = np.empty(n_runs, dtype=np.float64)
+    # a chunk ends before the first run that starts REPLAY_CHUNK or more
+    # products past its own first run (starts[r0] == p0, so r1 > r0)
+    r0 = p0 = 0
+    while r0 < n_runs:
+        r1 = int(np.searchsorted(starts, p0 + REPLAY_CHUNK))
+        p1 = int(starts[r1]) if r1 < n_runs else recipe.n_products
+        v = (A.val[recipe.a_idx[p0:p1]] * B.val[recipe.b_idx[p0:p1]]).astype(
+            np.float64, copy=False)
+        np.add.reduceat(v, starts[r0:r1] - p0, out=out[r0:r1])
+        r0, p0 = r1, p1
+    return out
 
 
 def contract(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,

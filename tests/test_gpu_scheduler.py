@@ -1,11 +1,19 @@
-"""Discrete-event block scheduler tests: conservation, streams, imbalance."""
+"""Block scheduler tests: conservation, streams, imbalance, and the
+lane schedule of single-stream phases pinned to the event loop."""
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.errors import DeviceConfigError, SchedulerError
+from repro.gpu import scheduler
+from repro.gpu.cost import block_durations
 from repro.gpu.device import P100
 from repro.gpu.kernel import BlockWorks, KernelLaunch
+from repro.gpu.occupancy import occupancy_for
 from repro.gpu.scheduler import simulate_phase
+from repro.types import Precision
 
 
 def uniform_kernel(n_blocks, flops_per_block=1e5, threads=256, shared=0,
@@ -140,3 +148,127 @@ class TestConservation:
         d1 = s1.duration - s1.records[0].start
         d2 = s2.duration - s2.records[0].start
         assert d2 > 1.7 * d1
+
+
+# -- lane schedule == event loop on serialized phases ----------------------
+
+SETTINGS = settings(max_examples=60, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+#: (threads, shared bytes) footprints limited by each P100 resource:
+#: threads (2/SM), shared memory (1/SM and 5/SM), block slots (32/SM),
+#: plus an odd thread count that rounds up to whole warps.
+FOOTPRINTS = {"threads": (1024, 0), "shared": (64, 48 * 1024),
+              "shared5": (128, 12 * 1024), "blocks": (32, 0),
+              "warps": (100, 0)}
+
+
+def _lanes(threads, shared):
+    return occupancy_for(P100, threads, shared).blocks_per_sm * P100.sm_count
+
+
+def _values(kind, n, rng):
+    """Tied, zero, random or mixed (ties + zeros) per-block values."""
+    if kind == "tied":
+        return np.full(n, 3e-6)
+    if kind == "zero":
+        return np.zeros(n)
+    if kind == "random":
+        return rng.random(n) * 1e-5
+    return rng.choice([0.0, 2e-6, 2e-6, 7e-6], n)
+
+
+@st.composite
+def serial_phases(draw):
+    """1-5 launches that all serialize: one shared stream, or any streams
+    under ``use_streams=False``; each kernel below or above one wave."""
+    use_streams = draw(st.booleans())
+    shared_stream = draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kernels, values = [], []
+    for i in range(draw(st.integers(1, 5))):
+        threads, shared = FOOTPRINTS[draw(st.sampled_from(sorted(FOOTPRINTS)))]
+        lanes = _lanes(threads, shared)
+        n = draw(st.one_of(st.integers(1, lanes),
+                           st.integers(lanes + 1, 3 * lanes)))
+        values.append(_values(draw(st.sampled_from(
+            ["tied", "zero", "random", "mixed"])), n, rng))
+        kernels.append(KernelLaunch(
+            name=f"k{i}", block_threads=threads,
+            shared_bytes_per_block=shared,
+            works=BlockWorks(n_blocks=n, flops=values[-1] * 1e11),
+            stream=shared_stream if use_streams else draw(st.integers(0, 3))))
+    start = draw(st.sampled_from([0.0, 1e-3, 0.123456789]))
+    return kernels, values, start, use_streams
+
+
+class TestLaneSchedule:
+    """Serialized phases are list-scheduled onto lanes without events;
+    the event loop stays the reference they must equal bit for bit.
+    Calls through ``simulate_phase`` pin the vectorized core, since
+    ``REPRO_SCALAR_CORE=1`` runs every phase through the event loop
+    without the memo."""
+
+    @SETTINGS
+    @given(phase=serial_phases())
+    def test_lanes_equal_event_loop_on_drawn_durations(self, phase):
+        kernels, durations, start, use_streams = phase
+        lanes = scheduler._lane_schedule(kernels, durations, P100, start,
+                                         use_streams)
+        ref = scheduler._event_loop(kernels, durations, P100, start,
+                                    use_streams)
+        assert lanes == ref
+
+    @SETTINGS
+    @given(phase=serial_phases(),
+           precision=st.sampled_from(["single", "double"]))
+    def test_simulate_phase_equals_event_loop_cold_and_warm(self, phase,
+                                                            precision):
+        kernels, _, start, use_streams = phase
+        start += 2e-3   # nonzero: records are stored with absolute times
+        p = Precision.parse(precision)
+        ref = scheduler._event_loop(
+            kernels, [block_durations(k, P100, p) for k in kernels], P100,
+            start, use_streams)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.delenv("REPRO_SCALAR_CORE", raising=False)
+            scheduler.clear_phase_memo()
+            cold = simulate_phase(kernels, P100, p, start_time=start,
+                                  use_streams=use_streams)
+            assert cold.records == ref
+            assert cold.end == max(r.end for r in ref)
+            assert len(scheduler._memo) == 1
+            warm = simulate_phase(kernels, P100, p, start_time=start,
+                                  use_streams=use_streams)
+        assert warm.records == cold.records and warm.end == cold.end
+
+    def test_serialized_phases_skip_the_event_loop(self, monkeypatch):
+        def no_events(*args):
+            raise AssertionError("event loop ran on a serialized phase")
+
+        monkeypatch.delenv("REPRO_SCALAR_CORE", raising=False)
+        monkeypatch.setattr(scheduler, "_event_loop", no_events)
+        scheduler.clear_phase_memo()
+        same = [uniform_kernel(300, stream=2), uniform_kernel(9, stream=2)]
+        mixed = [uniform_kernel(300, stream=1), uniform_kernel(9, stream=2)]
+        simulate_phase(same, P100, "single")
+        simulate_phase(mixed, P100, "single", use_streams=False)
+        with pytest.raises(AssertionError, match="event loop"):
+            simulate_phase(mixed, P100, "single")
+
+    def test_event_budget_guards_the_lane_path(self, monkeypatch):
+        # blocks + launches: 20 + 1 events
+        monkeypatch.delenv("REPRO_SCALAR_CORE", raising=False)
+        scheduler.clear_phase_memo()
+        monkeypatch.setattr(scheduler, "MAX_EVENTS", 20)
+        with pytest.raises(SchedulerError, match="event budget"):
+            simulate_phase([uniform_kernel(20)], P100, "single")
+        monkeypatch.setattr(scheduler, "MAX_EVENTS", 21)
+        simulate_phase([uniform_kernel(20)], P100, "single")
+
+    def test_unlaunchable_config_raises_on_the_lane_path(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SCALAR_CORE", raising=False)
+        scheduler.clear_phase_memo()
+        too_wide = uniform_kernel(4, threads=P100.max_threads_per_block + 1)
+        with pytest.raises(DeviceConfigError):
+            simulate_phase([too_wide], P100, "single", use_streams=False)

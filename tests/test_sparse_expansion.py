@@ -1,15 +1,17 @@
 """Tests for the expansion machinery (Alg. 2 counts, ESC expansion,
-contraction, symbolic nnz oracle)."""
+contraction, sort recipes, symbolic nnz oracle)."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ShapeMismatchError
-from repro.sparse import generators
+from repro.sparse import expansion, generators
+from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.expansion import (contract, expand_products,
+from repro.sparse.expansion import (build_sort_recipe, contract,
+                                    expand_products,
                                     intermediate_product_counts,
-                                    symbolic_row_nnz)
+                                    symbolic_row_nnz, values_from_recipe)
 
 from tests.conftest import to_scipy
 
@@ -135,3 +137,83 @@ class TestSymbolicRowNnz:
     def test_empty(self):
         A = CSRMatrix.empty((3, 3))
         np.testing.assert_array_equal(symbolic_row_nnz(A, A), np.zeros(3))
+
+
+def _with_empty_rows_and_zeros(rng, shape, nnz_per_row):
+    """Every third row empty and a quarter of the values explicit zeros."""
+    dense = generators.random_csr(*shape, nnz_per_row, rng=rng).to_dense()
+    dense[::3] = 0.0
+    M = CSRMatrix.from_dense(dense)
+    val = np.where(np.arange(M.nnz) % 4 == 0, 0.0, M.val)
+    return CSRMatrix(M.rpt, M.col, val, M.shape)
+
+
+def _sparse_square(n, coords):
+    """An ``n x n`` matrix holding 1.5 at each (row, col) in ``coords``."""
+    rows, cols = np.array(coords).T
+    return COOMatrix(rows, cols, np.full(len(coords), 1.5), (n, n)).to_csr()
+
+
+class TestSortRecipe:
+    """A recipe replays ``contract(expand_products(...))`` bit for bit."""
+
+    @staticmethod
+    def _assert_replays_contraction(A, B):
+        recipe = build_sort_recipe(A, B)
+        exp = expand_products(A, B)
+        C = contract(exp.rows, exp.cols, exp.vals, (A.n_rows, B.n_cols),
+                     A.dtype)
+        assert recipe.shape == C.shape
+        assert recipe.rpt.dtype == recipe.col.dtype == np.int64
+        assert recipe.a_idx.dtype == recipe.b_idx.dtype == np.int64
+        assert recipe.rpt.tobytes() == C.rpt.tobytes()
+        assert recipe.col.tobytes() == C.col.tobytes()
+        vals = values_from_recipe(recipe, A, B).astype(A.dtype)
+        assert vals.tobytes() == C.val.tobytes()
+        np.testing.assert_array_equal(recipe.row_counts, exp.row_counts)
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_square(self, small_random, precision):
+        A = small_random.astype(precision)
+        self._assert_replays_contraction(A, A)
+
+    def test_rectangular(self, rng):
+        A = generators.random_csr(37, 53, 6, rng=rng)
+        B = generators.random_csr(53, 19, 4, rng=rng)
+        self._assert_replays_contraction(A, B)
+
+    def test_empty_rows_and_explicit_zeros(self, rng):
+        A = _with_empty_rows_and_zeros(rng, (40, 70), 7)
+        B = _with_empty_rows_and_zeros(rng, (70, 30), 5)
+        assert np.any(A.val == 0.0) and np.any(A.row_nnz() == 0)
+        self._assert_replays_contraction(A, B)
+
+    def test_no_products(self, rng):
+        A = generators.random_csr(6, 8, 3, rng=rng)
+        self._assert_replays_contraction(A, CSRMatrix.empty((8, 5)))
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    @pytest.mark.parametrize("chunk", [1, 4, 50])
+    def test_chunked_replay(self, rng, chunk, precision, monkeypatch):
+        # B has 3 columns, so duplicate runs (~8 products) outgrow the
+        # small chunks and chunks of 50 hold several runs
+        A = generators.random_csr(30, 40, 12, rng=rng).astype(precision)
+        B = generators.random_csr(40, 3, 2, rng=rng).astype(precision)
+        monkeypatch.setattr(expansion, "REPLAY_CHUNK", chunk)
+        assert build_sort_recipe(A, B).n_products > chunk
+        self._assert_replays_contraction(A, B)
+
+    @pytest.mark.parametrize("n, key_dtype", [(46340, np.int32),
+                                              (46341, np.int64)])
+    def test_fused_key_width_at_the_int32_boundary(self, n, key_dtype):
+        # 46340^2 < 2^31 <= 46341^2: the corner products reach the
+        # largest key n*n - 1, which an int32 key would wrap, misordering
+        # row n - 1 on the wide side
+        assert expansion._fused_key_dtype(n, n) is key_dtype
+        A = _sparse_square(n, [(0, n - 1), (1, 1), (n - 2, 0),
+                               (n - 1, 0), (n - 1, n - 1)])
+        self._assert_replays_contraction(A, A)
+
+    def test_fused_key_falls_back_beyond_int64(self):
+        assert expansion._fused_key_dtype(2**31, 2**31) is None
+        assert expansion._fused_key_dtype(2**31, 2**30) is np.int64
