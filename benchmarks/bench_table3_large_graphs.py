@@ -110,7 +110,7 @@ def test_e14_resilience_recovery(benchmark, show):
             oomed = False
         except DeviceMemoryError:
             oomed = True
-        res = repro.multiply(A, A, algorithm="resilient",
+        res = repro.multiply(A, A, resilient=True,
                              precision="single", memory_budget=budget,
                              matrix_name=ds.name)
         return plain, budget, oomed, res

@@ -18,20 +18,16 @@ Quick start::
     print(result.report.summary())
 
 :func:`repro.multiply` with a :class:`repro.SpGEMMOptions` is the public
-API.  The legacy entry points (``repro.spgemm``, ``hash_spgemm``,
-``resilient_spgemm``) were deprecation shims for two majors and now
-raise :class:`RemovedAPIError` with a migration message.
+API: ``algorithm`` names a leaf of :func:`algorithms`, and the wrapper
+layers (``engine``, ``resilient``, ``devices``, ``tune``) are option
+fields that :func:`runner_for` composes.
 """
 
 from repro import sparse
 from repro.base import SpGEMMAlgorithm, SpGEMMResult
 from repro.core.params import ParamOverrides, build_group_table
-from repro.core.resilient import (
-    ResilienceReport,
-    ResilientSpGEMM,
-    resilient_spgemm,
-)
-from repro.core.spgemm import HashSpGEMM, hash_spgemm
+from repro.core.resilient import ResilienceReport, ResilientSpGEMM
+from repro.core.spgemm import HashSpGEMM
 from repro.dist import DevicePool, DistSpGEMM, Interconnect
 from repro.engine import BatchJob, SpGEMMEngine, SpGEMMPlan
 from repro.errors import (
@@ -45,7 +41,6 @@ from repro.errors import (
     JobTimeoutError,
     OptionsError,
     PlanMismatchError,
-    RemovedAPIError,
     ReproError,
     SchedulerError,
     ServeError,
@@ -125,11 +120,8 @@ __all__ = [
     "build_group_table",
     "estimate_row_nnz",
     "generators",
-    "hash_spgemm",
     "multiply",
-    "resilient_spgemm",
     "runner_for",
-    "spgemm",
     "spgemm_reference",
     "sparse",
     # errors
@@ -143,7 +135,6 @@ __all__ = [
     "JobTimeoutError",
     "OptionsError",
     "PlanMismatchError",
-    "RemovedAPIError",
     "ReproError",
     "SchedulerError",
     "ServeError",
@@ -156,21 +147,7 @@ __all__ = [
 
 
 def algorithms() -> dict[str, type[SpGEMMAlgorithm]]:
-    """Registry of available SpGEMM algorithms by name."""
+    """Registry of the leaf SpGEMM algorithms by name."""
     from repro.baselines.registry import ALGORITHMS
 
     return dict(ALGORITHMS)
-
-
-def spgemm(*args: object, **kwargs: object) -> SpGEMMResult:
-    """Removed legacy entry point.
-
-    .. deprecated:: 1.1
-        Deprecated in 1.1, removed in 2.0.  Use :func:`repro.multiply`
-        with a :class:`SpGEMMOptions` (or keyword option fields) instead.
-    """
-    raise RemovedAPIError(
-        "repro.spgemm()",
-        "repro.multiply(A, B, options=SpGEMMOptions(...)) or "
-        "repro.multiply(A, B, algorithm=..., precision=..., ...)",
-    )

@@ -17,36 +17,25 @@ def resolve_engine(engine, algorithm: str):
     """Normalize an apps-level ``engine=`` argument.
 
     ``True`` builds a fresh :class:`~repro.engine.SpGEMMEngine` fronting
-    ``algorithm``; an engine instance passes through (callers share one
-    cache across calls that way); ``None``/``False`` disable caching.
+    ``algorithm`` (through :func:`~repro.options.runner_for`); an engine
+    instance passes through (callers share one cache across calls that
+    way); ``None``/``False`` disable caching.
     """
     if engine is True:
-        from repro.engine import SpGEMMEngine
+        from repro.options import SpGEMMOptions, runner_for
 
-        return SpGEMMEngine(algorithm)
+        return runner_for(SpGEMMOptions(algorithm=algorithm, engine=True))
     return engine or None
 
 
 def multiply(A, B, *, engine=None, algorithm: str = "proposal",
              precision: Precision | str = Precision.DOUBLE,
-             matrix_name: str = "", options=None):
-    """One SpGEMM through the engine when given, else a one-shot call.
-
-    ``options`` (a :class:`~repro.options.SpGEMMOptions`) overrides the
-    individual keyword arguments when given, so apps compose with the
-    unified facade (tuning, resilience, distribution) without growing
-    their own keyword surface.
-    """
-    from repro.options import SpGEMMOptions
+             matrix_name: str = ""):
+    """One SpGEMM through the engine when given, else a one-shot call."""
     from repro.options import multiply as _multiply
 
-    if options is not None:
-        if engine is not None:
-            return engine.multiply(A, B, matrix_name=matrix_name,
-                                   options=options)
-        return _multiply(A, B, options=options, matrix_name=matrix_name)
     if engine is not None:
         return engine.multiply(A, B, precision=precision,
                                matrix_name=matrix_name)
-    return _multiply(A, B, options=SpGEMMOptions(
-        algorithm=algorithm, precision=precision), matrix_name=matrix_name)
+    return _multiply(A, B, algorithm=algorithm, precision=precision,
+                     matrix_name=matrix_name)

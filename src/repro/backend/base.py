@@ -37,10 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.tune.sketch import MatrixSketch
     from repro.types import Precision
 
-#: Algorithm names that belong to no backend (wrappers composing an
-#: inner algorithm); translation leaves them untouched.
-NEUTRAL_ALGORITHMS = ("resilient", "engine", "dist", "tune")
-
 
 @dataclass(frozen=True)
 class TuningFamily:
@@ -139,13 +135,13 @@ class Backend(abc.ABC):
     def native_algorithm(self, name: str) -> str:
         """Translate a registry algorithm name onto this architecture.
 
-        Native names and wrapper names pass through; a name owned by a
-        *different* backend maps to :attr:`default_algorithm` (so a
-        mixed pool asked for 'proposal' runs 'hash-cpu' on its CPU
-        slots).  Unknown names also pass through -- the registry is the
-        one that raises :class:`~repro.errors.UnknownAlgorithmError`.
+        Native names pass through; a name owned by a *different*
+        backend maps to :attr:`default_algorithm` (so a mixed pool asked
+        for 'proposal' runs 'hash-cpu' on its CPU slots).  Unknown names
+        also pass through -- the registry is the one that raises
+        :class:`~repro.errors.UnknownAlgorithmError`.
         """
-        if name in self.algorithms or name in NEUTRAL_ALGORITHMS:
+        if name in self.algorithms:
             return name
         from repro.backend.registry import backends
 

@@ -1,4 +1,10 @@
-"""Name -> algorithm registry used by :func:`repro.spgemm`."""
+"""Name -> leaf algorithm registry behind :func:`repro.runner_for`.
+
+Only leaf algorithms live here: the paper's proposal, its three
+baselines, the tiled family and the CPU algorithms.  The wrapper layers
+(plan-cached engine, resilience ladder, multi-device layer, tuner) are
+fields of :class:`~repro.options.SpGEMMOptions`, not registry names.
+"""
 
 from __future__ import annotations
 
@@ -6,22 +12,16 @@ from repro.base import SpGEMMAlgorithm
 from repro.baselines.bhsparse import BHSparseSpGEMM
 from repro.baselines.cusparse_like import CuSparseSpGEMM
 from repro.baselines.esc import ESCSpGEMM
-from repro.core.resilient import ResilientSpGEMM
 from repro.core.spgemm import HashSpGEMM
 from repro.cpu.algorithms import HashCPUSpGEMM, HeapCPUSpGEMM, PropBlockSpGEMM
-from repro.dist.dist import DistSpGEMM
-from repro.engine.engine import SpGEMMEngine
 from repro.errors import UnknownAlgorithmError
 from repro.tile.algorithm import TileSpGEMM
-from repro.tune.tuned import TunedSpGEMM
 
-#: All available algorithms, keyed by their benchmark-table names.
-#: 'resilient' (the degradation-ladder wrapper), 'engine' (the
-#: plan-cached front) and 'dist' (the multi-device driver) are
-#: infrastructure, not paper algorithms; benchmark sweeps over "the four
-#: algorithms" should use DISPLAY_ORDER.  The 'hash-cpu' / 'heap-cpu' /
-#: 'propblock' entries are the multicore CPU baselines (Nagasaka et al.
-#: and Gu et al.); they run on :class:`~repro.cpu.device.CPUSpec`
+#: All leaf algorithms, keyed by their benchmark-table names; each
+#: belongs to exactly one backend's ``algorithms``.  Benchmark sweeps
+#: over "the four algorithms" should use DISPLAY_ORDER.  The 'hash-cpu'
+#: / 'heap-cpu' / 'propblock' entries are the multicore CPU baselines
+#: (Nagasaka et al. and Gu et al.); they run on :class:`~repro.cpu.device.CPUSpec`
 #: presets and are excluded from the GPU benchmark tables.  'tile' is
 #: the TileSpGEMM-style 2-D tiled family (Niu et al.): GPU-native, no
 #: global atomics, at home on structured/blocked patterns -- the E22
@@ -35,10 +35,6 @@ ALGORITHMS: dict[str, type[SpGEMMAlgorithm]] = {
     "hash-cpu": HashCPUSpGEMM,
     "heap-cpu": HeapCPUSpGEMM,
     "propblock": PropBlockSpGEMM,
-    "resilient": ResilientSpGEMM,
-    "engine": SpGEMMEngine,
-    "dist": DistSpGEMM,
-    "tune": TunedSpGEMM,
 }
 
 #: Display order used by the benchmark tables (matches the paper's figures).
@@ -53,8 +49,8 @@ def create(name: str, **options) -> SpGEMMAlgorithm:
 
     Raises :class:`~repro.errors.UnknownAlgorithmError` (listing the
     registered names) for unknown names; keyword options are forwarded to
-    the algorithm constructor (the proposal's ablation switches, the
-    resilient wrapper's budget/chain, the engine's cache configuration).
+    the algorithm constructor (the proposal's ablation switches, tuned
+    overrides, the estimated symbolic phase).
     """
     try:
         cls = ALGORITHMS[name]

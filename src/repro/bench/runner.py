@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.baselines.registry import DISPLAY_ORDER, create
+from repro.baselines.registry import DISPLAY_ORDER
 from repro.bench.datasets import Dataset, get_dataset
 from repro.errors import DeviceMemoryError, HashTableError
 from repro.gpu.device import P100, DeviceSpec
@@ -26,7 +26,7 @@ class BenchRun:
 
     ``report`` is None when the run aborted with a simulated out-of-memory
     error (rendered as "-", as in the paper's Table III).  ``resilience``
-    is set for 'resilient' runs; a run that only succeeded by degrading is
+    is set for resilient runs; a run that only succeeded by degrading is
     marked with ``*`` in the tables.
     """
 
@@ -50,25 +50,22 @@ class BenchRun:
 
 def run_one(dataset: Dataset, algorithm: str, precision: str,
             device: DeviceSpec = P100, faults: "FaultPlan | None" = None,
-            *, repeat: int = 1, engine=None, **options) -> BenchRun:
+            *, repeat: int = 1, **option_fields) -> BenchRun:
     """Run one algorithm on one dataset, catching simulated OOM.
 
-    ``repeat`` re-runs the same multiply (the iterative-workload shape);
-    the returned run carries the *last* report, so with ``engine=True``
-    (a fresh :class:`~repro.engine.SpGEMMEngine` over ``algorithm``) or
-    an engine instance it reflects the plan-cache steady state -- the
-    amortized numbers E16 reports.  The default (no engine, one run) is
-    the cold, deterministic configuration the regression gate pins.
+    ``option_fields`` are :class:`~repro.options.SpGEMMOptions` fields
+    around the leaf ``algorithm`` (``engine=True``, ``memory_budget=``,
+    ...), compiled by :func:`~repro.options.runner_for`.  ``repeat``
+    re-runs the same multiply (the iterative-workload shape); the
+    returned run carries the *last* report, so with ``engine=True`` it
+    reflects the plan-cache steady state -- the amortized numbers E16
+    reports.  The default (no engine, one run) is the cold,
+    deterministic configuration the regression gate pins.
     """
-    A = dataset.matrix()
-    if engine is True:
-        from repro.engine import SpGEMMEngine
+    from repro.options import SpGEMMOptions, runner_for
 
-        algo = SpGEMMEngine(algorithm, **options)
-    elif engine:
-        algo = engine
-    else:
-        algo = create(algorithm, **options)
+    A = dataset.matrix()
+    algo = runner_for(SpGEMMOptions(algorithm=algorithm, **option_fields))
     try:
         for _ in range(max(1, repeat)):
             result = algo.multiply(A, A, precision=precision, device=device,

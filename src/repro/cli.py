@@ -27,7 +27,8 @@ import sys
 
 from repro.baselines.registry import ALGORITHMS, DISPLAY_ORDER
 
-#: CLI spellings accepted for --algorithm beyond the registry names.
+#: CLI spellings accepted for --algorithm beyond the leaf registry names
+#: (the wrapper layers are flags: --engine, --resilient, --devices, --tune).
 ALGORITHM_ALIASES = {"hash": "proposal", "nsparse": "proposal"}
 
 #: Subcommand names; a leading option is routed to ``multiply`` (so
@@ -80,8 +81,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", "--algo",
                    choices=sorted(ALGORITHMS) + sorted(ALGORITHM_ALIASES),
                    default="proposal",
-                   help="algorithm registry name ('hash' is an alias for "
-                        "the proposal)")
+                   help="leaf algorithm registry name ('hash' is an alias "
+                        "for the proposal)")
     p.add_argument("--precision", choices=("single", "double"),
                    default="double")
     p.add_argument("--symbolic", choices=("exact", "estimate"),
@@ -329,7 +330,11 @@ def cmd_multiply(args) -> int:
     options = _options_from_args(args, repeat)
     # one runner for all repeats: the engine replays cached plans and the
     # tuner reuses its store across iterations
-    runner = runner_for(options)
+    try:
+        runner = runner_for(options)
+    except repro.OptionsError as e:
+        print(f"invalid options: {e}", file=sys.stderr)
+        return 2
     dist = runner if isinstance(runner, DistSpGEMM) else None
     eng = next((r for r in (runner, getattr(runner, "inner", None))
                 if isinstance(r, SpGEMMEngine)), None)

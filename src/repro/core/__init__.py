@@ -21,7 +21,7 @@ from repro.core.hashtable import (HashTable, expected_probes,
                                   simulate_insertions,
                                   simulate_insertions_rows)
 from repro.core.params import GroupParams, GroupTable, build_group_table
-from repro.core.spgemm import HashSpGEMM, hash_spgemm
+from repro.core.spgemm import HashSpGEMM
 
 __all__ = [
     "GroupAssignment",
@@ -32,7 +32,6 @@ __all__ = [
     "build_group_table",
     "expected_probes",
     "group_rows",
-    "hash_spgemm",
     "simulate_insertions",
     "simulate_insertions_rows",
 ]

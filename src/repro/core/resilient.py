@@ -34,8 +34,7 @@ import numpy as np
 
 from repro.base import SpGEMMAlgorithm, SpGEMMResult
 from repro.core.count_products import count_products
-from repro.errors import (DeviceLostError, DeviceMemoryError, HashTableError,
-                          RemovedAPIError)
+from repro.errors import DeviceLostError, DeviceMemoryError, HashTableError
 from repro.gpu.device import P100, DeviceSpec
 from repro.gpu.faults import FaultPlan
 from repro.gpu.timeline import PHASES, KernelRecord, SimReport
@@ -341,20 +340,3 @@ class ResilientSpGEMM(SpGEMMAlgorithm):
             reports, algorithm=f"{algo.name}+{len(panels)}panels",
             matrix_name=base)
         return SpGEMMResult(matrix=C, report=report)
-
-
-def resilient_spgemm(A: CSRMatrix, B: CSRMatrix, *,
-                     precision: Precision | str = Precision.DOUBLE,
-                     device: DeviceSpec = P100, matrix_name: str = "",
-                     faults: FaultPlan | None = None,
-                     **options) -> SpGEMMResult:
-    """Removed legacy wrapper (was deprecated in 1.1, removed in 3.0).
-
-    Raises :class:`~repro.errors.RemovedAPIError` unconditionally; use
-    ``repro.multiply(A, B, resilient=True, ...)`` or instantiate
-    :class:`ResilientSpGEMM` directly.
-    """
-    raise RemovedAPIError(
-        "resilient_spgemm()",
-        "repro.multiply(A, B, resilient=True, ...) or "
-        "ResilientSpGEMM(**options).multiply(A, B, ...)")

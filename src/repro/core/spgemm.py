@@ -40,7 +40,7 @@ from repro.core.numeric import plan_numeric
 from repro.core.params import PWARP_WIDTH, ParamOverrides, build_group_table
 from repro.core.symbolic import plan_symbolic
 from repro.engine.plan import replay_values
-from repro.errors import AlgorithmError, RemovedAPIError
+from repro.errors import AlgorithmError
 from repro.estimate import (DEFAULT_MARGIN, DEFAULT_SAMPLES,
                             estimate_recount_kernel, estimate_row_nnz,
                             estimate_sample_kernel)
@@ -467,21 +467,3 @@ class HashSpGEMM(SpGEMMAlgorithm):
 
         report = ctx.report(n_products=n_products, nnz_out=C.nnz)
         return SpGEMMResult(matrix=C, report=report)
-
-
-def hash_spgemm(A: CSRMatrix, B: CSRMatrix, *,
-                precision: Precision | str = Precision.DOUBLE,
-                device: DeviceSpec = P100, matrix_name: str = "",
-                faults: FaultPlan | None = None,
-                **options) -> SpGEMMResult:
-    """Removed legacy wrapper (was deprecated in 1.1, removed in 3.0).
-
-    Raises :class:`~repro.errors.RemovedAPIError` unconditionally; use
-    ``repro.multiply(A, B, algorithm='proposal', ...)`` (constructor
-    switches travel via ``algo_options``) or instantiate
-    :class:`HashSpGEMM` directly.
-    """
-    raise RemovedAPIError(
-        "hash_spgemm()",
-        "repro.multiply(A, B, algorithm='proposal', ...) or "
-        "HashSpGEMM(**options).multiply(A, B, ...)")

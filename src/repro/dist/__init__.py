@@ -2,7 +2,8 @@
 
 The subsystem scales the single-device simulation out to a pool of
 simulated devices connected by a bandwidth-latency interconnect model;
-:class:`DistSpGEMM` (registry name ``'dist'``) is the entry point.
+:class:`DistSpGEMM` is the entry point, and ``devices=`` on the options
+facade builds it (``repro.multiply(A, B, devices=4)``).
 """
 
 from repro.dist.dist import LOSS_DETECT_SECONDS, DistSpGEMM

@@ -1,6 +1,6 @@
 """The distributed SpGEMM driver: scatter-compute-gather over a pool.
 
-:class:`DistSpGEMM` is a registry algorithm (name ``'dist'``) that
+:class:`DistSpGEMM` (what ``devices=`` on the options facade builds)
 executes ``C = A @ B`` across a :class:`~repro.dist.pool.DevicePool`:
 
 1. **partition** -- A is cut into one contiguous row panel per active
@@ -134,7 +134,7 @@ class DistSpGEMM(SpGEMMAlgorithm):
         Preset name (``'pcie'`` | ``'nvlink'``) or an
         :class:`~repro.dist.interconnect.Interconnect` instance.
     algorithm / engine / **algo_options:
-        Per-device runner: the inner registry algorithm, whether to
+        Per-device runner: the leaf registry algorithm, whether to
         front it with a plan-cached :class:`~repro.engine.SpGEMMEngine`,
         and the inner constructor's options.
     broadcast_cache:
@@ -201,13 +201,8 @@ class DistSpGEMM(SpGEMMAlgorithm):
                  precision: Precision | str = Precision.DOUBLE,
                  device: DeviceSpec = P100,
                  matrix_name: str = "",
-                 faults: FaultPlan | None = None,
-                 options=None) -> SpGEMMResult:
-        """Scatter-compute-gather multiply; ``options`` (a
-        :class:`~repro.options.SpGEMMOptions`) supplies ``precision``
-        and ``device`` when given."""
-        if options is not None:
-            precision, device = options.precision, options.device
+                 faults: FaultPlan | None = None) -> SpGEMMResult:
+        """Scatter-compute-gather multiply of ``A @ B`` over the pool."""
         A, B, p = self._prepare(A, B, precision)
         pool = self.pool(device)
         self.multiplies += 1

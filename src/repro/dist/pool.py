@@ -25,6 +25,8 @@ import numpy as np
 
 from repro.backend import backend_for_spec, resolve_device
 from repro.base import SpGEMMAlgorithm
+from repro.baselines.registry import create
+from repro.engine.engine import SpGEMMEngine
 from repro.errors import DeviceConfigError
 from repro.gpu.device import P100, DeviceSpec
 
@@ -42,10 +44,6 @@ class DeviceSlot:
 def _make_runner(algorithm: "str | SpGEMMAlgorithm", engine: bool,
                  algo_options: dict,
                  spec: "DeviceSpec | None" = None) -> SpGEMMAlgorithm:
-    # local imports: the registry imports the dist driver, which imports us
-    from repro.baselines.registry import create
-    from repro.engine.engine import SpGEMMEngine
-
     if isinstance(algorithm, str) and spec is not None:
         # run each slot's architecture-native equivalent of the request
         algorithm = backend_for_spec(spec).native_algorithm(algorithm)

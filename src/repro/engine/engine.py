@@ -1,10 +1,12 @@
 """The SpGEMM engine: plan-cached, batch-capable front of the algorithms.
 
-:class:`SpGEMMEngine` is itself an :class:`~repro.base.SpGEMMAlgorithm`
-(registry name ``'engine'``), so it drops in anywhere an algorithm does:
-``repro.multiply(A, B, algorithm='engine')``, the bench runner, the apps.
-It fronts an inner algorithm (default: the paper's proposal) with a
-pattern-keyed :class:`~repro.engine.cache.PlanCache`:
+:class:`SpGEMMEngine` is itself an :class:`~repro.base.SpGEMMAlgorithm`,
+so it drops in anywhere an algorithm does: ``repro.multiply(A, B,
+engine=True)`` builds one through :func:`~repro.options.runner_for`, and
+the bench runner, the apps and each device of a
+:class:`~repro.dist.DistSpGEMM` pool hold one.  It fronts an inner
+algorithm (default: the paper's proposal) with a pattern-keyed
+:class:`~repro.engine.cache.PlanCache`:
 
 * **miss** -- run the inner algorithm cold, capture its symbolic outcome
   as an :class:`~repro.engine.plan.SpGEMMPlan`, store it under the
@@ -70,9 +72,6 @@ class SpGEMMEngine(SpGEMMAlgorithm):
         Device-memory budget of the plan cache (LRU eviction).
     max_workers:
         Worker-pool width of :meth:`batch`.
-    enabled:
-        ``False`` turns the engine into a transparent pass-through
-        (the CLI's ``--no-engine``).
     **algo_options:
         Forwarded to the inner algorithm's constructor when ``algorithm``
         is a name (e.g. ``use_streams=False``).
@@ -83,7 +82,7 @@ class SpGEMMEngine(SpGEMMAlgorithm):
     def __init__(self, algorithm: "str | SpGEMMAlgorithm" = "proposal", *,
                  cache_budget_bytes: int = DEFAULT_BUDGET_BYTES,
                  max_workers: int = DEFAULT_WORKERS,
-                 enabled: bool = True, **algo_options) -> None:
+                 **algo_options) -> None:
         if isinstance(algorithm, SpGEMMAlgorithm):
             self.inner = algorithm
         else:
@@ -92,7 +91,6 @@ class SpGEMMEngine(SpGEMMAlgorithm):
             self.inner = create(algorithm, **algo_options)
         self.cache = PlanCache(cache_budget_bytes)
         self.max_workers = max(1, int(max_workers))
-        self.enabled = enabled
         self.passthrough_runs = 0
         self.batch_jobs = 0
 
@@ -111,23 +109,15 @@ class SpGEMMEngine(SpGEMMAlgorithm):
                  precision: Precision | str = Precision.DOUBLE,
                  device: DeviceSpec = P100,
                  matrix_name: str = "",
-                 faults: FaultPlan | None = None,
-                 options=None) -> SpGEMMResult:
+                 faults: FaultPlan | None = None) -> SpGEMMResult:
         """``C = A @ B`` through the plan cache.
-
-        ``options`` (a :class:`~repro.options.SpGEMMOptions`) supplies
-        ``precision`` and ``device`` when given, so engine call sites
-        share the facade's configuration object.
 
         Fault-injected runs bypass the cache entirely: a plan captured
         under injected faults is not trustworthy, and a replay would
         dodge the very failure the caller asked for.
         """
-        if options is not None:
-            precision, device = options.precision, options.device
         A, B, p = self._prepare(A, B, precision)
-        cacheable = (self.enabled and faults is None
-                     and self.inner.supports_plan_cache)
+        cacheable = faults is None and self.inner.supports_plan_cache
         if not cacheable:
             self.passthrough_runs += 1
             return self.inner.multiply(A, B, precision=p, device=device,
@@ -234,7 +224,7 @@ class SpGEMMEngine(SpGEMMAlgorithm):
                     "symbolic+setup time amortized by hits").inc(
             max(s.saved_seconds, 0.0))
         reg.counter("engine_passthrough_runs_total",
-                    "uncached multiplies (disabled/faults/unsupported)").inc(
+                    "uncached multiplies (faults/unsupported)").inc(
             self.passthrough_runs)
         reg.counter("engine_batch_jobs_total",
                     "multiplies submitted through batch()").inc(
@@ -245,8 +235,7 @@ class SpGEMMEngine(SpGEMMAlgorithm):
         """One-paragraph engine-stats block (the CLI's ``engine-stats``)."""
         s = self.cache.stats
         lines = [
-            f"engine: {self.inner.name} "
-            f"(plan cache {'on' if self.enabled else 'off'})",
+            f"engine: {self.inner.name} (plan cache on)",
             f"  lookups {s.lookups}  hits {s.hits}  misses {s.misses}  "
             f"hit-rate {100.0 * s.hit_rate:.1f}%",
             f"  plans {len(self.cache)}  "

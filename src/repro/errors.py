@@ -21,8 +21,7 @@ The taxonomy::
     ├── AlgorithmError             algorithm selection / wiring
     │   ├── UnknownAlgorithmError  registry lookup of an unknown name
     │   └── PlanMismatchError      cached plan no longer matches operands
-    ├── OptionsError               invalid SpGEMMOptions field or value
-    ├── RemovedAPIError            call into a removed legacy entry point
+    ├── OptionsError               invalid SpGEMMOptions field, value or mix
     └── ServeError                 serving-layer rejections (repro.serve)
         ├── ServerOverloadedError  bounded queue full -- load shed
         ├── JobTimeoutError        deadline expired before completion
@@ -225,9 +224,10 @@ class OptionsError(ReproError):
     """An :class:`repro.options.SpGEMMOptions` field or value is invalid.
 
     Raised by the options facade for unknown field names (a typo in
-    ``repro.multiply(**option_fields)`` or ``SpGEMMOptions.evolve``) and
-    for field values outside their domain (e.g. ``symbolic='guess'``).
-    Carries the offending ``unknown`` names, the tuple of ``valid`` field
+    ``repro.multiply(**option_fields)`` or ``SpGEMMOptions.evolve``),
+    for field values outside their domain (e.g. ``symbolic='guess'``)
+    and by :func:`repro.runner_for` for fields no runner chain can
+    honour together (e.g. ``resilient=True`` with ``devices``).  Carries the offending ``unknown`` names, the tuple of ``valid`` field
     names and the closest-match ``suggestions``, and renders all of them
     into the message so a keyword typo is self-explanatory.
     """
@@ -244,24 +244,6 @@ class OptionsError(ReproError):
         if self.valid:
             message += f" (valid fields: {', '.join(self.valid)})"
         super().__init__(message)
-
-
-class RemovedAPIError(ReproError):
-    """A removed legacy entry point was called.
-
-    The ``repro.spgemm`` / ``hash_spgemm`` / ``resilient_spgemm``
-    functions were deprecation shims for two majors; they now raise this
-    error instead of running.  Carries the removed ``name`` and the
-    ``replacement`` to migrate to (always a :func:`repro.multiply`
-    spelling), rendered into the message.
-    """
-
-    def __init__(self, name: str, replacement: str) -> None:
-        self.name = str(name)
-        self.replacement = str(replacement)
-        super().__init__(
-            f"{self.name} was removed; migrate to {self.replacement} "
-            f"(see the 'Options facade' section of README.md)")
 
 
 class PlanMismatchError(AlgorithmError):

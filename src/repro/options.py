@@ -1,25 +1,22 @@
 """The unified public API: :class:`SpGEMMOptions` and :func:`multiply`.
 
-Historically every layer grew its own keyword surface -- ``spgemm()``
-took ``algorithm=`` plus constructor kwargs, the engine and the
-distributed driver their own flags, the CLI a third spelling.  This
-module is the single place those choices live now:
+This module is the single place the choices of a multiply live:
 
 * :class:`SpGEMMOptions` -- one frozen value object describing *how* to
-  multiply: algorithm, device, precision, engine fronting, resilience
-  ladder, distribution and autotuning;
-* :func:`runner_for` -- compiles an options object into the matching
-  runner chain (dist / resilient / engine / tuner / plain algorithm);
+  multiply: the leaf algorithm, device, precision, and the wrapper
+  layers (engine fronting, resilience ladder, distribution, autotuning)
+  as fields;
+* :func:`runner_for` -- the one compiler from an options object to its
+  runner chain (dist / tune / resilient / engine around the leaf);
 * :func:`multiply` -- the one-call facade:
-  ``repro.multiply(A, B, options=SpGEMMOptions(algorithm="tune"))``.
+  ``repro.multiply(A, B, options=SpGEMMOptions(tune=True))``.
 
-The legacy entry points (``repro.spgemm``, ``hash_spgemm``,
-``resilient_spgemm``) are gone: two majors after their deprecation they
-now raise :class:`~repro.errors.RemovedAPIError` with a migration
-message pointing here.  Unknown option-field names -- a keyword typo in
+``algorithm`` only ever names a leaf of :func:`repro.algorithms`; an
+unknown name raises :class:`~repro.errors.UnknownAlgorithmError` from
+:func:`runner_for`.  Unknown option-field names -- a keyword typo in
 :func:`multiply` or :meth:`SpGEMMOptions.evolve` -- raise a typed
 :class:`~repro.errors.OptionsError` listing the valid fields and the
-closest match.
+closest match, as do field combinations no chain can honour.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ from typing import Any
 
 from repro.backend import backends, resolve_device
 from repro.base import SpGEMMAlgorithm, SpGEMMResult
-from repro.errors import OptionsError
+from repro.errors import OptionsError, UnknownAlgorithmError
 from repro.gpu.device import P100, DeviceSpec
 from repro.gpu.faults import FaultPlan
 from repro.sparse.csr import CSRMatrix
@@ -39,11 +36,6 @@ from repro.types import Precision
 
 #: Valid values of :attr:`SpGEMMOptions.symbolic`.
 SYMBOLIC_MODES = ("exact", "estimate")
-
-#: Algorithm names that can host an estimated symbolic phase: the
-#: proposal itself plus the infrastructure wrappers that forward
-#: ``algo_options`` to it.  The neutral baselines have no estimator.
-_ESTIMATE_ALGORITHMS = ("proposal", "engine", "tune", "resilient", "dist")
 
 
 def _check_option_names(names: Iterable[str], *, context: str) -> None:
@@ -66,12 +58,13 @@ def _check_option_names(names: Iterable[str], *, context: str) -> None:
 class SpGEMMOptions:
     """Everything configurable about one SpGEMM, in one immutable object.
 
-    Field groups (all optional; the default object reproduces
-    ``spgemm(A, B)`` exactly):
+    Field groups (all optional; the default object runs the paper's
+    proposal in double precision on the P100):
 
     algorithm / precision / device
-        The registry algorithm name, 'single' | 'double' (or a
-        :class:`~repro.types.Precision`) and the device to simulate: a
+        The leaf algorithm's registry name (:func:`repro.algorithms`;
+        the wrapper layers are the fields below), 'single' | 'double'
+        (or a :class:`~repro.types.Precision`) and the device to simulate: a
         :class:`~repro.gpu.device.DeviceSpec`, a
         :class:`~repro.cpu.device.CPUSpec`, or any registered preset
         name (``device="KNL64"`` resolves through the backend
@@ -87,22 +80,25 @@ class SpGEMMOptions:
         first in the fallback chain.
     devices / interconnect
         ``devices`` distributes over a pool: an int (replicas of
-        ``device``) or a tuple of preset names (heterogeneous).
+        ``device``) or a tuple of preset names (heterogeneous).  Each
+        device runs ``algorithm`` behind its own engine (unless
+        ``engine=False``), sized by ``cache_budget_bytes``; the ladder
+        fields do not compose with it.
     tune / tune_store / tune_top_k
         ``tune=True`` autotunes the proposal's Table I parameters per
         device before running; ``tune_store`` (a
         :class:`~repro.tune.TuningStore` or a path) persists tuned
-        configs across processes.
+        configs across processes.  A distributed run searches with the
+        default ``tune_top_k``.
     symbolic
         ``'estimate'`` replaces the exact symbolic count phase with the
         sampled estimator of :mod:`repro.estimate` (per-row nnz bounds,
         bound-violation recovery on global tables); ``'exact'`` -- the
         default -- keeps the paper's count kernels.  Results are
         bit-identical either way; only modeled time and memory change.
-        Only the proposal and the wrappers around it accept it
-        (:data:`_ESTIMATE_ALGORITHMS`); the sampling knobs travel via
-        ``algo_options`` (``estimate_samples`` / ``estimate_margin`` /
-        ``estimate_seed``).
+        Only the proposal accepts it (the wrappers forward it); the
+        sampling knobs travel via ``algo_options`` (``estimate_samples``
+        / ``estimate_margin`` / ``estimate_seed``).
     observe
         ``observe=False`` runs every multiply unobserved: no events are
         constructed at all (the throughput fast path).  Reports keep
@@ -157,10 +153,6 @@ class SpGEMMOptions:
         _check_option_names(changes, context="option")
         return replace(self, **changes)
 
-    def with_options(self, **changes: Any) -> "SpGEMMOptions":
-        """Alias of :meth:`evolve` (the pre-redesign spelling)."""
-        return self.evolve(**changes)
-
     def describe(self) -> str:
         """Compact ``field=value`` form of the non-default fields."""
         default = SpGEMMOptions()
@@ -201,16 +193,13 @@ def _fallback_chain(algorithm: str) -> tuple[str, str]:
     The owning backend declares which of its algorithms trades speed for
     robustness (``fallback_algorithm``); when the chosen algorithm *is*
     that fallback, the backend default takes the second slot so the
-    chain never degenerates to a single entry.  Unknown names keep the
-    historical GPU pairing.
+    chain never degenerates to a single entry.  Every registry leaf
+    belongs to exactly one backend.
     """
-    for b in backends().values():
-        if algorithm in b.algorithms:
-            alt = (b.fallback_algorithm if algorithm != b.fallback_algorithm
-                   else b.default_algorithm)
-            return (algorithm, alt)
-    return ((algorithm, "cusparse") if algorithm != "cusparse"
-            else ("cusparse", "proposal"))
+    owner = next(b for b in backends().values() if algorithm in b.algorithms)
+    alt = (owner.fallback_algorithm if algorithm != owner.fallback_algorithm
+           else owner.default_algorithm)
+    return (algorithm, alt)
 
 
 def _algo_options(o: SpGEMMOptions) -> dict:
@@ -229,91 +218,92 @@ def _algo_options(o: SpGEMMOptions) -> dict:
         # the universal default: inject nothing, so algorithms that
         # never heard of the estimator keep their exact signatures
         return opts
-    if o.algorithm not in _ESTIMATE_ALGORITHMS:
+    if o.algorithm != "proposal":
         raise OptionsError(
             f"symbolic='estimate' is not supported by algorithm "
-            f"{o.algorithm!r} (supported: {list(_ESTIMATE_ALGORITHMS)})")
+            f"{o.algorithm!r} (supported: ['proposal'])")
     opts["symbolic"] = symbolic
     return opts
 
 
-def _resilient_options(o: SpGEMMOptions, algo_opts: dict) -> dict:
-    """Constructor kwargs for the resilience ladder under ``o``."""
-    opts = dict(algo_opts)
-    if o.algorithm not in ("resilient",):
-        # keep the chosen algorithm first in the fallback chain
-        opts.setdefault("algorithms", _fallback_chain(o.algorithm))
-    opts.setdefault("max_panels", o.max_panels)
-    if o.memory_budget is not None:
-        opts.setdefault("memory_budget", int(o.memory_budget))
-    return opts
+def _dist_runner(o: SpGEMMOptions, devices: "int | tuple[str, ...]",
+                 algo_opts: dict) -> SpGEMMAlgorithm:
+    """The :class:`~repro.dist.DistSpGEMM` under ``o`` over ``devices``.
+
+    It builds each device's engine and runs the per-device tuning
+    itself, so ``cache_budget_bytes`` sizes those engines.  The fields
+    it cannot honour raise :class:`~repro.errors.OptionsError` rather
+    than being dropped: the resilience ladder (a pool recovers by
+    repartitioning) and a non-default ``tune_top_k``.
+    """
+    from repro.dist import DevicePool, DistSpGEMM
+
+    if o.resilient or o.memory_budget is not None:
+        raise OptionsError(
+            "resilient / memory_budget do not compose with devices: a "
+            "device pool recovers by repartitioning")
+    if o.tune and o.tune_top_k != SpGEMMOptions.tune_top_k:
+        raise OptionsError(
+            f"tune_top_k={o.tune_top_k} does not compose with devices: "
+            f"per-device tuning keeps the default "
+            f"{SpGEMMOptions.tune_top_k}")
+    engine = True if o.engine is None else bool(o.engine)
+    kw: dict[str, Any] = dict(algorithm=o.algorithm, engine=engine,
+                              **algo_opts)
+    if engine and o.cache_budget_bytes is not None:
+        kw["cache_budget_bytes"] = o.cache_budget_bytes
+    if isinstance(devices, tuple):
+        where: dict[str, Any] = {
+            "pool": DevicePool.from_names(list(devices), **kw)}
+    else:
+        where = {"n_devices": int(devices)}
+    return DistSpGEMM(interconnect=o.interconnect, tune=o.tune,
+                      tune_store=o.tune_store, **where, **kw)
 
 
 def runner_for(options: SpGEMMOptions) -> SpGEMMAlgorithm:
     """Compile an options object into its runner chain.
 
-    Composition order (outermost first): distribution > tuning >
-    resilience > engine > algorithm.  The distributed driver owns its
-    own per-device tuning and engines, so ``devices`` short-circuits the
-    rest of the chain.  Unknown algorithm names raise
-    :class:`~repro.errors.UnknownAlgorithmError`.
+    The one place the wrapper layers are built: ``algorithm`` names the
+    leaf and the facade fields add the wrappers around it, outermost
+    first -- tuning, the plan-cached engine, the resilience ladder, the
+    leaf.  ``devices`` builds a :class:`~repro.dist.DistSpGEMM` instead,
+    which composes its per-device engines and tuning itself.  Unknown
+    algorithm names raise :class:`~repro.errors.UnknownAlgorithmError`
+    here, whichever wrappers are asked for.
     """
-    from repro.baselines.registry import create
-    from repro.dist import DevicePool, DistSpGEMM
-    from repro.engine import SpGEMMEngine
-    from repro.tune.store import TuningStore
-    from repro.tune.tuned import TunedSpGEMM
+    from repro.baselines.registry import ALGORITHMS, create
 
     o = options
+    if o.algorithm not in ALGORITHMS:
+        raise UnknownAlgorithmError(o.algorithm, ALGORITHMS)
     algo_opts = _algo_options(o)
-    # -- distributed: the driver composes engine + tuning itself --------
     if o.devices is not None:
-        engine_on = True if o.engine is None else bool(o.engine)
-        # algorithm="dist" names the driver, not the per-device compute
-        inner = "proposal" if o.algorithm == "dist" else o.algorithm
-        dist_kw = dict(interconnect=o.interconnect, algorithm=inner,
-                       engine=engine_on, tune=o.tune,
-                       tune_store=o.tune_store, **algo_opts)
-        if isinstance(o.devices, tuple):
-            pool = DevicePool.from_names(list(o.devices), algorithm=inner,
-                                         engine=engine_on, **algo_opts)
-            return DistSpGEMM(pool=pool, **dist_kw)
-        return DistSpGEMM(n_devices=int(o.devices), **dist_kw)
-    if o.algorithm == "dist":
-        # legacy spelling: dist kwargs may live in algo_options, so the
-        # facade fields only fill the gaps
-        kw = dict(algo_opts)
-        kw.setdefault("interconnect", o.interconnect)
-        kw.setdefault("tune", o.tune)
-        kw.setdefault("tune_store", o.tune_store)
-        if o.engine is not None:
-            kw.setdefault("engine", bool(o.engine))
-        return create("dist", **kw)
+        return _dist_runner(o, o.devices, algo_opts)
 
-    # -- single device: resilience / engine / plain ----------------------
-    if o.resilient or o.memory_budget is not None or o.algorithm == "resilient":
-        runner: SpGEMMAlgorithm = create("resilient",
-                                         **_resilient_options(o, algo_opts))
-    elif o.algorithm == "engine":
-        kw = dict(algo_opts)
-        if o.cache_budget_bytes is not None:
-            kw.setdefault("cache_budget_bytes", o.cache_budget_bytes)
-        runner = SpGEMMEngine(**kw)
-    elif o.algorithm == "tune":
-        store = o.tune_store if isinstance(o.tune_store, TuningStore) else None
-        path = o.tune_store if isinstance(o.tune_store, str) else None
-        return TunedSpGEMM(engine=bool(o.engine), store=store,
-                           store_path=path, top_k=o.tune_top_k,
-                           **algo_opts)
+    if o.resilient or o.memory_budget is not None:
+        from repro.core.resilient import ResilientSpGEMM
+
+        opts = dict(algo_opts)
+        # keep the chosen algorithm first in the fallback chain
+        opts.setdefault("algorithms", _fallback_chain(o.algorithm))
+        opts.setdefault("max_panels", o.max_panels)
+        if o.memory_budget is not None:
+            opts.setdefault("memory_budget", int(o.memory_budget))
+        runner: SpGEMMAlgorithm = ResilientSpGEMM(**opts)
     else:
         runner = create(o.algorithm, **algo_opts)
-    if o.engine and not isinstance(runner, SpGEMMEngine):
-        kw = {}
+    if o.engine:
+        from repro.engine import SpGEMMEngine
+
+        kw: dict[str, int] = {}
         if o.cache_budget_bytes is not None:
             kw["cache_budget_bytes"] = o.cache_budget_bytes
         runner = SpGEMMEngine(runner, **kw)
-
     if o.tune:
+        from repro.tune.store import TuningStore
+        from repro.tune.tuned import TunedSpGEMM
+
         store = o.tune_store if isinstance(o.tune_store, TuningStore) else None
         path = o.tune_store if isinstance(o.tune_store, str) else None
         runner = TunedSpGEMM(algorithm=runner, store=store, store_path=path,
@@ -329,7 +319,7 @@ def multiply(A: CSRMatrix, B: CSRMatrix,
 
     Pass a ready :class:`SpGEMMOptions`, or its fields directly::
 
-        repro.multiply(A, B, options=SpGEMMOptions(algorithm="tune"))
+        repro.multiply(A, B, options=SpGEMMOptions(tune=True))
         repro.multiply(A, B, algorithm="cusparse", precision="single")
 
     ``matrix_name`` labels reports and ``faults`` injects a

@@ -1,8 +1,8 @@
 """The multi-tenant SpGEMM server: futures in, typed outcomes out.
 
-:class:`SpGEMMServer` fronts the whole stack (``repro.multiply``'s
-runner chain -- dist > tune > resilience > engine > algorithm) with a
-thread pool and a robustness core:
+:class:`SpGEMMServer` fronts the whole stack (the runner chain
+:func:`~repro.options.runner_for` compiles from the job's options) with
+a thread pool and a robustness core:
 
 * **admission control** -- each job's device working set is estimated
   from the Alg. 2 intermediate-product counts and the

@@ -1,7 +1,8 @@
-"""``TunedSpGEMM`` -- the registry's ``"tune"`` entry.
+"""``TunedSpGEMM`` -- the autotuning wrapper that ``tune=True`` builds.
 
-Wraps any registered algorithm; before each multiply it sketches the
-instance, consults the tuning store, runs the search on a miss, injects
+Wraps a registry algorithm or a ready runner (default: the proposal);
+before each multiply it sketches the instance, consults the tuning
+store, runs the search on a miss, injects
 the winning :class:`~repro.core.params.ParamOverrides` through the
 :meth:`~repro.base.SpGEMMAlgorithm.apply_param_overrides` protocol and
 annotates the run report with ``tune_*`` events (timestamped 0.0 at the
@@ -10,7 +11,7 @@ happened before the run's clock started).
 
 Inner algorithms that decline the overrides (the baselines have no
 Table I space) pass through untouched, with a ``tune_miss`` event naming
-the reason -- so ``algorithm="tune"`` is safe over the whole registry.
+the reason -- so ``tune=True`` is safe over the whole registry.
 """
 
 from __future__ import annotations
@@ -35,26 +36,17 @@ class TunedSpGEMM(SpGEMMAlgorithm):
 
     def __init__(self, *,
                  algorithm: "str | SpGEMMAlgorithm" = "proposal",
-                 engine: bool = False,
                  store: TuningStore | None = None,
                  store_path: str | None = None,
                  top_k: int = DEFAULT_TOP_K, **algo_options) -> None:
         from repro.baselines import registry
-        from repro.engine.engine import SpGEMMEngine
-        from repro.errors import AlgorithmError
 
         self.store = store if store is not None else TuningStore(store_path)
         self.top_k = top_k
         if isinstance(algorithm, SpGEMMAlgorithm):
-            # a ready runner (possibly already engine- or
-            # resilience-wrapped); ``engine`` is the name path's flag
+            # a ready runner, possibly engine- or resilience-wrapped
             self.inner: SpGEMMAlgorithm = algorithm
             self.algorithm = algorithm.name
-        elif algorithm == self.name:
-            raise AlgorithmError("cannot tune the tuner itself")
-        elif engine:
-            self.algorithm = algorithm
-            self.inner = SpGEMMEngine(algorithm=algorithm, **algo_options)
         else:
             self.algorithm = algorithm
             self.inner = registry.create(algorithm, **algo_options)

@@ -5,9 +5,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.baselines.registry import ALGORITHMS
 from repro.gpu.device import P100
 from repro.sparse import generators
 from repro.sparse.csr import CSRMatrix
+
+#: Every runner the options facade builds, as ``SpGEMMOptions`` fields
+#: keyed by test id: each leaf algorithm by its registry name, and each
+#: wrapper layer (over the default leaf, the proposal) by the fields
+#: that build it.
+RUNNERS = {**{name: {"algorithm": name} for name in ALGORITHMS},
+           "resilient": {"resilient": True}, "engine": {"engine": True},
+           "dist": {"devices": 2}, "tune": {"tune": True}}
 
 
 def pytest_addoption(parser):

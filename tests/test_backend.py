@@ -152,11 +152,6 @@ class TestAlgorithmTranslation:
         assert CPU_BACKEND.native_algorithm("proposal") == "hash-cpu"
         assert GPU_BACKEND.native_algorithm("heap-cpu") == "proposal"
 
-    def test_wrappers_stay_neutral(self):
-        for wrapper in ("resilient", "engine", "dist", "tune"):
-            assert CPU_BACKEND.native_algorithm(wrapper) == wrapper
-            assert GPU_BACKEND.native_algorithm(wrapper) == wrapper
-
     def test_fallback_chains_stay_on_architecture(self):
         from repro.options import _fallback_chain
 
@@ -184,7 +179,7 @@ class TestOptionsIntegration:
 
     def test_cpu_device_round_trips_options(self):
         o = repro.SpGEMMOptions(algorithm="hash-cpu", device="XEON24")
-        o2 = o.with_options(precision="single")
+        o2 = o.evolve(precision="single")
         assert o2.device is XEON24
         assert "Xeon" in o.describe()
 

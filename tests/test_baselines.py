@@ -135,14 +135,14 @@ class TestBHSparseStructure:
 
 class TestRegistry:
     def test_all_registered(self):
+        # leaves only: the wrapper layers are SpGEMMOptions fields
         assert set(ALGORITHMS) == {"proposal", "cusp", "cusparse", "bhsparse",
-                                   "tile", "hash-cpu", "heap-cpu", "propblock",
-                                   "resilient", "engine", "dist", "tune"}
+                                   "tile", "hash-cpu", "heap-cpu", "propblock"}
         # the display orders partition the paper algorithms by backend;
         # 'tile' is post-paper (the E22 crossover family) and stays out
         # of the paper-figure tables
         assert set(DISPLAY_ORDER) | set(CPU_DISPLAY_ORDER) == (
-            set(ALGORITHMS) - {"resilient", "engine", "dist", "tune", "tile"})
+            set(ALGORITHMS) - {"tile"})
         assert not set(DISPLAY_ORDER) & set(CPU_DISPLAY_ORDER)
 
     def test_create_unknown(self):

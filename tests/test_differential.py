@@ -1,11 +1,12 @@
-"""Differential oracle: every registered algorithm vs the reference SpGEMM.
+"""Differential oracle: every runner vs the reference SpGEMM.
 
 Replaces the narrower per-algorithm checks that used to live in
 ``test_baselines.TestCorrectness``: instead of three baselines against
-scipy, *every* entry of the registry -- including the proposal and the
-resilient wrapper -- is compared against :func:`spgemm_reference` over a
-corpus of structurally adversarial matrices (regular band, Erdos-Renyi,
-power-law skew, empty rows, one fully dense row).
+scipy, *every* leaf of the registry and every wrapper layer the options
+facade builds (:data:`tests.conftest.RUNNERS`) is compared against
+:func:`spgemm_reference` over a corpus of structurally adversarial
+matrices (regular band, Erdos-Renyi, power-law skew, empty rows, one
+fully dense row).
 
 The full corpus sweep is marked ``corpus`` (slow); a fast subset always
 runs so plain tier-1 keeps differential coverage.
@@ -15,12 +16,13 @@ import numpy as np
 import pytest
 
 import repro
-from repro.baselines.registry import ALGORITHMS
 from repro.sparse import generators
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.reference import spgemm_reference
 
-ALL_ALGOS = sorted(ALGORITHMS)
+from tests.conftest import RUNNERS
+
+ALL_ALGOS = sorted(RUNNERS)
 
 
 def _empty_rows(rng) -> CSRMatrix:
@@ -54,7 +56,7 @@ def _check(algo: str, A: CSRMatrix, B: CSRMatrix | None = None,
            precision: str = "double") -> None:
     B = A if B is None else B
     ref = spgemm_reference(A, B)
-    got = repro.multiply(A, B, algorithm=algo, precision=precision).matrix
+    got = repro.multiply(A, B, precision=precision, **RUNNERS[algo]).matrix
     rtol = 1e-9 if precision == "double" else 1e-4
     assert got.canonicalize().allclose(ref, rtol=rtol), \
         f"{algo} diverges from reference on {A.shape}"
@@ -76,7 +78,7 @@ def test_matches_reference_corpus(algo, gen, rng):
 @pytest.mark.parametrize("algo", ALL_ALGOS)
 def test_single_precision(algo, rng):
     A = CORPUS["band"](rng)
-    result = repro.multiply(A, A, algorithm=algo, precision="single")
+    result = repro.multiply(A, A, precision="single", **RUNNERS[algo])
     assert result.matrix.dtype == np.float32
     _check(algo, A, precision="single")
 
@@ -94,7 +96,7 @@ def test_rectangular(algo, rng):
                                                           "engine", "tune"}))
 def test_report_flops_metric(algo, rng):
     A = generators.stencil_regular(300, 4, rng=rng)
-    r = repro.multiply(A, A, algorithm=algo).report
+    r = repro.multiply(A, A, **RUNNERS[algo]).report
     assert r.algorithm == algo
     assert r.flops == 2 * r.n_products
     assert r.total_seconds > 0

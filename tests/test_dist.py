@@ -424,7 +424,7 @@ class TestObservability:
 class TestCLI:
     def test_multiply_dist(self, capsys):
         assert main(["multiply", "--generate", "stencil:400:4",
-                     "--algorithm", "dist", "--devices", "4",
+                     "--devices", "4",
                      "--interconnect", "nvlink", "--dist-stats"]) == 0
         out = capsys.readouterr().out
         assert "dist" in out and "nvlink" in out
@@ -435,14 +435,14 @@ class TestCLI:
 
     def test_multiply_heterogeneous_devices(self, capsys):
         assert main(["multiply", "--generate", "stencil:300:4",
-                     "--algorithm", "dist", "--devices", "P100,K40",
+                     "--devices", "P100,K40",
                      "--dist-stats"]) == 0
         out = capsys.readouterr().out
         assert "Tesla K40" in out
 
     def test_multiply_fail_device(self, capsys):
         assert main(["multiply", "--generate", "stencil:300:4",
-                     "--algorithm", "dist", "--devices", "3",
+                     "--devices", "3",
                      "--fail-device", "dev1", "--dist-stats"]) == 0
         out = capsys.readouterr().out
         assert "LOST" in out

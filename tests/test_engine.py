@@ -310,17 +310,13 @@ class TestBatch:
 
 class TestIntegration:
     def test_registry_and_top_level_dispatch(self, A):
-        eng = repro.algorithms()["engine"]
-        assert eng is SpGEMMEngine
-        result = repro.multiply(A, A, algorithm="engine")
+        # the engine is a facade field, not a registry algorithm
+        assert "engine" not in repro.algorithms()
+        eng = repro.runner_for(repro.SpGEMMOptions(engine=True))
+        assert isinstance(eng, SpGEMMEngine)
+        result = repro.multiply(A, A, engine=True)
         assert result.matrix.canonicalize().allclose(
             repro.multiply(A, A).matrix)
-
-    def test_disabled_engine_passes_through(self, A):
-        eng = SpGEMMEngine("proposal", enabled=False)
-        eng.multiply(A, A)
-        eng.multiply(A, A)
-        assert eng.stats().lookups == 0 and eng.passthrough_runs == 2
 
     def test_faulted_runs_bypass_the_cache(self, A):
         from repro.gpu.faults import FaultPlan

@@ -1,11 +1,12 @@
 """The unified facade: SpGEMMOptions, repro.multiply and evolve().
 
-Pins the API-redesign contract: the options path works for every
-registered algorithm, the removed legacy entry points raise
-:class:`RemovedAPIError` with a migration message, unknown option-field
-names raise a typed :class:`OptionsError` naming the closest match, and
-the facade composes engine / resilience / distribution / tuning the
-same way the dedicated constructors do.
+Pins the API contract: the options path works for every leaf algorithm
+and every wrapper layer, the registry holds only the leaves, unknown
+option-field names raise a typed :class:`OptionsError` naming the
+closest match, and :func:`runner_for` -- the one compiler from options
+to a runner chain -- composes engine / resilience / distribution /
+tuning from the facade fields, rejecting unknown algorithm names and
+field combinations it cannot honour.
 """
 
 from __future__ import annotations
@@ -15,15 +16,17 @@ import pytest
 
 import repro
 from repro import SpGEMMOptions, multiply, runner_for
+from repro.backend import backends
 from repro.baselines.registry import ALGORITHMS
-from repro.core.resilient import ResilientSpGEMM, resilient_spgemm
-from repro.core.spgemm import HashSpGEMM, hash_spgemm
-from repro.errors import OptionsError, RemovedAPIError
+from repro.core.resilient import ResilientSpGEMM
+from repro.core.spgemm import HashSpGEMM
 from repro.dist import DistSpGEMM
 from repro.engine import SpGEMMEngine
-from repro.errors import UnknownAlgorithmError
+from repro.errors import OptionsError, UnknownAlgorithmError
 from repro.sparse import generators
 from repro.tune.tuned import TunedSpGEMM
+
+from tests.conftest import RUNNERS
 
 
 @pytest.fixture(scope="module")
@@ -40,11 +43,17 @@ def _same(r1, r2, rtol=1e-12):
 
 # -- the one entry point, per algorithm -------------------------------------
 
-@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+@pytest.mark.parametrize("name", sorted(RUNNERS))
 def test_multiply_works_for_every_registered_algorithm(A, name):
-    res = multiply(A, A, options=SpGEMMOptions(algorithm=name))
+    res = multiply(A, A, options=SpGEMMOptions(**RUNNERS[name]))
     assert res.matrix.nnz > 0
     assert res.report.total_seconds > 0.0
+
+
+def test_registry_holds_exactly_the_backend_leaves():
+    leaves = {n for b in backends().values() for n in b.algorithms}
+    assert set(ALGORITHMS) == leaves
+    assert set(repro.algorithms()) == leaves
 
 
 def test_option_fields_spelling_matches_options_object(A):
@@ -56,27 +65,6 @@ def test_option_fields_spelling_matches_options_object(A):
 def test_options_and_fields_together_is_an_error(A):
     with pytest.raises(TypeError, match="not both"):
         multiply(A, A, options=SpGEMMOptions(), algorithm="cusp")
-
-
-# -- removed legacy entry points --------------------------------------------
-
-def test_spgemm_raises_removed_api_error(A):
-    with pytest.raises(RemovedAPIError, match="repro.multiply"):
-        repro.spgemm(A, A)
-    with pytest.raises(RemovedAPIError):
-        repro.spgemm(A, A, options=SpGEMMOptions(algorithm="cusparse"))
-
-
-def test_hash_spgemm_raises_removed_api_error(A):
-    with pytest.raises(RemovedAPIError, match="repro.multiply") as ei:
-        hash_spgemm(A, A)
-    assert ei.value.name == "hash_spgemm()"
-    assert "HashSpGEMM" in ei.value.replacement
-
-
-def test_resilient_spgemm_raises_removed_api_error(A):
-    with pytest.raises(RemovedAPIError, match="resilient=True"):
-        resilient_spgemm(A, A)
 
 
 # -- evolve + typed option errors -------------------------------------------
@@ -166,25 +154,42 @@ def test_options_frozen_and_with_options():
     o = SpGEMMOptions()
     with pytest.raises(AttributeError):
         o.algorithm = "cusp"
-    o2 = o.with_options(algorithm="cusp")
+    # evolve() is the one way to derive a variant
+    assert not hasattr(o, "with_options")
+    o2 = o.evolve(algorithm="cusp")
     assert o2.algorithm == "cusp" and o.algorithm == "proposal"
     assert "cusp" in o2.describe() and o.describe() == "default"
 
 
-def test_dispatch_accepts_options(A):
-    from repro.apps._dispatch import multiply as app_multiply
+# -- the distributed path honours or rejects every facade field -------------
 
-    res = app_multiply(A, A, options=SpGEMMOptions(algorithm="cusparse"))
-    assert res.report.algorithm == "cusparse"
-    _same(res, multiply(A, A, options=SpGEMMOptions(algorithm="cusparse")))
+def test_dist_sizes_per_device_plan_caches():
+    for devices in (2, ("P100", "K40")):
+        r = runner_for(SpGEMMOptions(devices=devices,
+                                     cache_budget_bytes=1234))
+        assert [s.runner.cache.budget_bytes
+                for s in r.pool().slots] == [1234, 1234]
 
 
-def test_engine_and_dist_multiply_accept_options(A):
-    o = SpGEMMOptions(precision="single")
-    eng = SpGEMMEngine()
-    assert eng.multiply(A, A, options=o).report.precision == "single"
-    dist = DistSpGEMM(n_devices=2)
-    assert dist.multiply(A, A, options=o).report.precision == "single"
+def test_dist_rejects_non_default_tune_top_k():
+    with pytest.raises(OptionsError, match="tune_top_k"):
+        runner_for(SpGEMMOptions(devices=2, tune=True, tune_top_k=5))
+    # the default search width composes, and top-k without tuning is moot
+    assert isinstance(runner_for(SpGEMMOptions(devices=2, tune=True)),
+                      DistSpGEMM)
+    assert isinstance(runner_for(SpGEMMOptions(devices=2, tune_top_k=5)),
+                      DistSpGEMM)
+
+
+def test_dist_rejects_resilient():
+    with pytest.raises(OptionsError, match="devices"):
+        runner_for(SpGEMMOptions(devices=2, resilient=True))
+
+
+def test_dist_rejects_memory_budget():
+    with pytest.raises(OptionsError, match="devices"):
+        runner_for(SpGEMMOptions(devices=("P100", "K40"),
+                                 memory_budget=1 << 20))
 
 
 # -- typed registry errors --------------------------------------------------
@@ -202,3 +207,18 @@ def test_unknown_algorithm_error_lists_names():
 def test_multiply_raises_unknown_algorithm(A):
     with pytest.raises(UnknownAlgorithmError):
         multiply(A, A, options=SpGEMMOptions(algorithm="nope"))
+
+
+@pytest.mark.parametrize("fields", [
+    {}, {"engine": True}, {"tune": True}, {"resilient": True},
+    {"devices": 2}, {"devices": ("P100", "K40")}],
+    ids=["plain", "engine", "tune", "resilient", "dist", "pool"])
+def test_runner_for_rejects_unknown_algorithm_on_every_path(fields):
+    with pytest.raises(UnknownAlgorithmError):
+        runner_for(SpGEMMOptions(algorithm="nope", **fields))
+
+
+@pytest.mark.parametrize("wrapper", ["engine", "resilient", "dist", "tune"])
+def test_wrapper_names_are_not_algorithms(wrapper):
+    with pytest.raises(UnknownAlgorithmError):
+        runner_for(SpGEMMOptions(algorithm=wrapper))

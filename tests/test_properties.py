@@ -295,7 +295,7 @@ class TestResilienceLadderProperties:
         from repro.sparse import generators
 
         A = generators.rmat(7, 4, rng=3)
-        r = repro.multiply(A, A, algorithm="resilient",
+        r = repro.multiply(A, A, resilient=True,
                          faults=FaultPlan().fail_alloc(index=3))
         rep = r.resilience
         assert rep is not None and rep.recovered

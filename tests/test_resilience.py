@@ -8,11 +8,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.core.count_products import count_products
-from repro.core.resilient import (
-    ResilientSpGEMM,
-    merge_panel_reports,
-    split_row_panels,
-)
+from repro.core.resilient import merge_panel_reports, split_row_panels
 from repro.errors import (
     DeviceMemoryError,
     HashTableError,
@@ -87,7 +83,7 @@ def square():
 @pytest.mark.faults
 class TestLadder:
     def test_clean_run_has_no_degradation(self, square):
-        r = repro.multiply(square, square, algorithm="resilient")
+        r = repro.multiply(square, square, resilient=True)
         rep = r.resilience
         assert rep is not None and not rep.recovered
         assert rep.final_strategy == "plain" and rep.faults_seen == 0
@@ -97,7 +93,7 @@ class TestLadder:
         assert r.resilience and plain.resilience is None
 
     def test_transient_fault_recovers_by_retry(self, square):
-        r = repro.multiply(square, square, algorithm="resilient",
+        r = repro.multiply(square, square, resilient=True,
                          faults=FaultPlan().fail_alloc(index=3))
         rep = r.resilience
         assert rep.recovered and rep.final_strategy == "retry"
@@ -113,7 +109,7 @@ class TestLadder:
             repro.multiply(square, square, algorithm="proposal",
                          device=P100.with_memory(budget))
 
-        r = repro.multiply(square, square, algorithm="resilient",
+        r = repro.multiply(square, square, resilient=True,
                          memory_budget=budget)
         rep = r.resilience
         assert rep.recovered and rep.final_strategy == "panels"
@@ -124,7 +120,7 @@ class TestLadder:
         assert r.report.n_products == plain.report.n_products
 
     def test_persistent_kernel_fault_falls_back_to_cusparse(self, square):
-        r = repro.multiply(square, square, algorithm="resilient",
+        r = repro.multiply(square, square, resilient=True,
                          faults=FaultPlan().fail_hash_table("symbolic",
                                                             times=None))
         rep = r.resilience
@@ -133,7 +129,7 @@ class TestLadder:
 
     def test_total_failure_reraises_with_report(self, square):
         with pytest.raises(HashTableError) as exc:
-            repro.multiply(square, square, algorithm="resilient",
+            repro.multiply(square, square, resilient=True,
                          faults=FaultPlan().fail_hash_table(".*", times=None))
         rep = exc.value.resilience
         assert rep is not None and not rep.recovered
@@ -157,12 +153,12 @@ def test_table3_analogue_recovery_under_pressure():
 
     assert run_one(ds, "proposal", "single", device=squeezed).oom
 
-    r = run_one(ds, "resilient", "single", memory_budget=budget)
+    r = run_one(ds, "proposal", "single", memory_budget=budget)
     assert not r.oom and r.recovered
     assert r.resilience.final_strategy == "panels"
     assert max(r.resilience.panel_peaks) <= budget
 
-    res = repro.multiply(A, A, algorithm="resilient", precision="single",
+    res = repro.multiply(A, A, resilient=True, precision="single",
                        memory_budget=budget)
     assert res.matrix.allclose(plain.matrix)
 
@@ -170,7 +166,7 @@ def test_table3_analogue_recovery_under_pressure():
 class TestReportMerging:
     def test_merged_report_is_coherent(self, square):
         plain = repro.multiply(square, square, algorithm="proposal")
-        r = repro.multiply(square, square, algorithm="resilient",
+        r = repro.multiply(square, square, resilient=True,
                            algo_options={"initial_panels": 4},
                            memory_budget=int(0.7 * plain.report.peak_bytes))
         rep = r.report
@@ -187,10 +183,3 @@ class TestReportMerging:
         with pytest.raises(IndexError):
             merge_panel_reports([], algorithm="x", matrix_name="y")
 
-
-def test_resilient_is_registered():
-    assert "resilient" in repro.algorithms()
-    assert repro.algorithms()["resilient"] is ResilientSpGEMM
-    # but it is not part of the paper's four-way benchmark ordering
-    from repro.baselines.registry import DISPLAY_ORDER
-    assert "resilient" not in DISPLAY_ORDER

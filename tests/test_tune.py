@@ -197,10 +197,11 @@ def test_overrides_partition_plan_cache_keys(A):
 
 def test_apply_param_overrides_protocol(A):
     from repro.baselines.registry import create
+    from repro.engine import SpGEMMEngine
 
     assert HashSpGEMM().apply_param_overrides(ParamOverrides())
     assert not create("cusparse").apply_param_overrides(ParamOverrides())
-    eng = create("engine")
+    eng = SpGEMMEngine()
     assert eng.apply_param_overrides(ParamOverrides(t_max=1024))
     assert eng.inner.overrides.t_max == 1024
 
@@ -208,7 +209,7 @@ def test_apply_param_overrides_protocol(A):
 # -- the registry wrapper ---------------------------------------------------
 
 def test_tuned_algorithm_emits_events_and_matches(A):
-    res = multiply(A, A, options=SpGEMMOptions(algorithm="tune", device=K40))
+    res = multiply(A, A, options=SpGEMMOptions(tune=True, device=K40))
     kinds = [e.kind for e in res.report.events]
     assert E.TUNE_MISS in kinds and E.TUNE_SEARCH in kinds \
         and E.TUNE_APPLY in kinds
@@ -232,13 +233,6 @@ def test_tuned_untunable_inner_passes_through(A):
     miss = [e for e in res.report.events if e.kind == E.TUNE_MISS]
     assert miss and miss[0].attrs["reason"] == "inner not tunable"
     assert not any(e.kind == E.TUNE_APPLY for e in res.report.events)
-
-
-def test_tune_cannot_wrap_itself():
-    from repro.errors import AlgorithmError
-
-    with pytest.raises(AlgorithmError, match="tuner itself"):
-        TunedSpGEMM(algorithm="tune")
 
 
 # -- distributed per-device tuning ------------------------------------------

@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 
 import repro
 from repro import perf
-from repro.baselines.registry import ALGORITHMS
 from repro.core.grouping import assign_gids, group_rows
 from repro.core.hashtable import (HashTable, simulate_insertions,
                                   simulate_insertions_rows)
@@ -38,10 +37,12 @@ from repro.obs.export import trace_summary
 from repro.sparse import generators
 from repro.sparse.csr import CSRMatrix
 
+from tests.conftest import RUNNERS
+
 SETTINGS = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
-ALL_ALGOS = sorted(ALGORITHMS)
+ALL_ALGOS = sorted(RUNNERS)
 
 
 def _empty_rows(rng) -> CSRMatrix:
@@ -78,7 +79,7 @@ def _run(algo: str, A: CSRMatrix, monkeypatch, *, scalar: bool):
     perf.clear_fast_caches()
     try:
         return repro.multiply(A, A,
-                              options=repro.SpGEMMOptions(algorithm=algo))
+                              options=repro.SpGEMMOptions(**RUNNERS[algo]))
     finally:
         monkeypatch.delenv("REPRO_SCALAR_CORE", raising=False)
         perf.clear_fast_caches()
