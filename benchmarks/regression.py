@@ -1,4 +1,4 @@
-"""CI bench-regression gate: pinned subset, JSON snapshots, 10% fences.
+"""CI bench-regression gate: pinned subset, JSON snapshots, exact check.
 
 The pinned subset is two generated dataset analogues -- Protein (a
 high-throughput FEM pattern) and Circuit (a low-throughput one) -- run
@@ -7,28 +7,29 @@ plus the E15-style per-phase breakdown for cuSPARSE and the proposal,
 plus the E17 distributed slice (steady-state 4-device NVLink totals with
 the interconnect wall broken out as phase ``comm``), plus the E18 tune
 slice (K40 autotuned vs default Table I parameters on three corpus
-matrices, hard-gated on ``tuned <= default``), plus the E19 serve slice
-(the pinned chaos storm through ``SpGEMMServer``: completed-job and
-retry counts are exact -- per-job seeded fault plans make them
-deterministic -- and the p99 modeled latency of completed jobs is
-fenced like every other modeled figure), plus the E20 wall-clock slice
-(median-of-5 *real* seconds of the E16/E17 iterative suites from
-:mod:`repro.bench.wallclock`, fenced at 1.5x -- the one gate on the
-simulator's own host cost rather than its modeled output), plus the E21
-cross-backend slice (the same datasets through every CPU preset's
-native algorithms, and the exact GPU-vs-CPU crossover tally), plus the
-E22 tile slice (schema 7: the structured workloads through the tile and
-hash pipelines with the exact per-class win tally and the sketch-based
-selector's agreement count -- all three are deterministic integers, so
-any drift is a behavior change), plus the E23 estimate slice (schema 8:
-the pinned datasets cold-run with ``symbolic='estimate'`` vs exact --
-the per-matrix symbolic-phase seconds are hard-gated wherever the
-baseline shows a saving, and the recovered/within-bound row counts of a
-forced bound-violation run are exact integers pinned like the serve
-counts).
-All other compared quantities are *modeled* device numbers, so they are
-exactly reproducible across runners; the overall wall-clock is recorded
-for context and only fenced loosely (runner variance).
+matrices), plus the E19 serve slice (the pinned chaos storm through
+``SpGEMMServer``: per-job seeded fault plans make its completed-job and
+retry counts deterministic), plus the E20 wall-clock slice (median-of-5
+*real* seconds of the E16/E17 iterative suites from
+:mod:`repro.bench.wallclock`), plus the E21 cross-backend slice (the
+same datasets through every CPU preset's native algorithms, and the
+GPU-vs-CPU crossover tally), plus the E22 tile slice (the structured
+workloads through the tile and hash pipelines with the per-class win
+tally and the sketch-based selector's agreement count), plus the E23
+estimate slice (the pinned datasets cold-run with
+``symbolic='estimate'`` vs exact, and the recovered/within-bound row
+counts of a forced bound-violation run).
+
+Everything but the E20 slice is *modeled* output, a deterministic
+function of the code, so ``check`` proves modeled identity: every such
+field must equal the baseline's in both directions -- floats to
+``MODELED_RTOL`` (round-off) relative, everything else (counts, names,
+OOM flags, the keys of nested dicts) exactly.  A change to modeled
+output therefore fails until the baseline is refreshed with ``write`` on
+purpose.  Real seconds vary by runner, so they are only fenced: the E20
+medians at ``1 + WALLCLOCK_TOLERANCE`` (1.5x) the baseline and the
+whole run at ``WALL_TOLERANCE`` (3x).  The E18 slice also holds on its
+own that tuned is never slower than default.
 
 Usage::
 
@@ -37,20 +38,22 @@ Usage::
         BENCH_BASELINE.json BENCH_PR.json
     PYTHONPATH=src python benchmarks/regression.py profile profile.txt
 
-``check`` exits 1 when any modeled GFLOPS or total-seconds figure
-regresses by more than ``MODELED_TOLERANCE`` (10%), when the run set
-changed, or when wall-clock blows past ``WALL_TOLERANCE`` x baseline.
-Improvements pass (refresh the baseline with ``write`` when intended).
+``check`` exits 1 on any modeled difference, when the run set changed,
+or when a wall-clock fence trips.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 import time
 
 #: Modeled quantities are deterministic: anything past round-off is real.
-MODELED_TOLERANCE = 0.10
+MODELED_RTOL = 1e-9
+#: The E20 slice's real-seconds fields, the only per-run fields that are
+#: not modeled output.
+WALLCLOCK_FIELDS = ("wall_seconds_median", "wall_runs")
 #: Wall clock varies wildly across CI runners; only a blow-up fails.
 WALL_TOLERANCE = 3.0
 #: The E20 real-seconds slice: loose enough for runner variance, far
@@ -84,9 +87,8 @@ TUNE_DATASETS = ("Protein", "Circuit", "Economics")
 ESTIMATE_DATASETS = ("Protein", "Economics", "Epidemiology", "Circuit")
 ESTIMATE_FORCE = {"estimate_samples": 1, "estimate_margin": 0.0}
 
-#: The serve slice (E19): one pinned chaos storm through the server.
-#: Counts are exact (deterministic per-job fault plans, one worker);
-#: only the p99 modeled latency gets the usual 10% fence.
+#: The serve slice (E19): one pinned chaos storm through the server
+#: (deterministic per-job fault plans, one worker).
 SERVE_SEED = 42
 SERVE_OOM_RATE = 0.10
 SERVE_N_JOBS = 18
@@ -289,6 +291,27 @@ def _key(rec: dict) -> tuple:
     return (rec["dataset"], rec["algorithm"])
 
 
+def _mismatches(path: str, b, c) -> list[str]:
+    """Where modeled value ``c`` departs from baseline value ``b``.
+
+    Floats may differ by round-off (``MODELED_RTOL`` relative); dicts
+    must have the same keys and matching values; anything else must be
+    equal and of the same type.
+    """
+    if isinstance(b, dict) and isinstance(c, dict):
+        if set(b) != set(c):
+            return [f"{path}: fields changed: missing "
+                    f"{sorted(set(b) - set(c))}, new {sorted(set(c) - set(b))}"]
+        return [m for k in sorted(b)
+                for m in _mismatches(f"{path}/{k}", b[k], c[k])]
+    if type(b) is float and type(c) is float:
+        if math.isclose(b, c, rel_tol=MODELED_RTOL, abs_tol=0.0):
+            return []
+    elif type(b) is type(c) and b == c:
+        return []
+    return [f"{path}: {b!r} -> {c!r}"]
+
+
 def compare(baseline: dict, current: dict) -> list[str]:
     """All regression messages (empty = gate passes)."""
     problems: list[str] = []
@@ -308,92 +331,28 @@ def compare(baseline: dict, current: dict) -> list[str]:
     for key in sorted(base):
         b, c = base[key], cur[key]
         where = f"{key[0]}/{key[1]}"
-        if b.get("oom") != c.get("oom"):
-            problems.append(f"{where}: OOM status changed "
-                            f"{b.get('oom', False)} -> {c.get('oom', False)}")
-            continue
-        if b.get("oom"):
-            continue
-        if "wall_seconds_median" in b:
-            # the E20 slice compares real seconds, not modeled ones: only
-            # the median is fenced, at the dedicated (looser) tolerance
-            if (c.get("wall_seconds_median", 0.0)
-                    > b["wall_seconds_median"] * (1.0 + WALLCLOCK_TOLERANCE)):
-                problems.append(
-                    f"{where}: wall clock regressed "
-                    f"{b['wall_seconds_median']:.3f}s -> "
-                    f"{c['wall_seconds_median']:.3f}s "
-                    f"(>{1.0 + WALLCLOCK_TOLERANCE:.1f}x; profile with "
-                    f"'python benchmarks/regression.py profile <file>')")
-            continue
-        if "default_seconds" in c:
+        if ("wall_seconds_median" in b
+                and c.get("wall_seconds_median", 0.0)
+                > b["wall_seconds_median"] * (1.0 + WALLCLOCK_TOLERANCE)):
+            # the E20 slice: real seconds, fenced at the looser tolerance
+            problems.append(
+                f"{where}: wall clock regressed "
+                f"{b['wall_seconds_median']:.3f}s -> "
+                f"{c['wall_seconds_median']:.3f}s "
+                f"(>{1.0 + WALLCLOCK_TOLERANCE:.1f}x; profile with "
+                f"'python benchmarks/regression.py profile <file>')")
+        if ("default_seconds" in c
+                and c["total_seconds"]
+                > c["default_seconds"] * (1.0 + MODELED_RTOL)):
             # the tune slice's hard invariant: the search falls back to
             # the defaults, so tuned can never be slower than default
-            if c["total_seconds"] > c["default_seconds"] * (1.0 + 1e-9):
-                problems.append(
-                    f"{where}: tuned total "
-                    f"{c['total_seconds'] * 1e6:.1f} us exceeds default "
-                    f"{c['default_seconds'] * 1e6:.1f} us")
-            if (b.get("tune_speedup", 1.0) > 1.0
-                    and c.get("tune_speedup", 1.0) <= 1.0):
-                problems.append(
-                    f"{where}: tuning no longer beats the defaults "
-                    f"(x{b['tune_speedup']:.3f} -> "
-                    f"x{c.get('tune_speedup', 1.0):.3f})")
-        for field in ("serve_completed", "serve_retries", "serve_degraded",
-                      "serve_naive_completed", "gpu_wins", "cpu_wins",
-                      "tile_wins", "hash_wins", "selector_correct",
-                      "estimate_recovered_rows", "estimate_within_rows",
-                      "estimate_saved_matrices"):
-            # serve counts, the E21/E22 crossover tallies and the E23
-            # recovery row counts are deterministic: any drift is a
-            # behavior change, not noise -- refresh the baseline on purpose
-            if field in b and c.get(field) != b[field]:
-                problems.append(f"{where}: {field} changed "
-                                f"{b[field]} -> {c.get(field)}")
-        if "symbolic_seconds" in b:
-            # the E23 slice: where the baseline shows a symbolic-phase
-            # saving, estimation must keep paying off (hard gate), and
-            # the phase itself gets the usual modeled fence
-            if (b["symbolic_seconds"] < b["exact_symbolic_seconds"]
-                    and c["symbolic_seconds"]
-                    >= c["exact_symbolic_seconds"]):
-                problems.append(
-                    f"{where}: estimated symbolic phase no longer beats "
-                    f"exact ({c['symbolic_seconds'] * 1e6:.1f} vs "
-                    f"{c['exact_symbolic_seconds'] * 1e6:.1f} us)")
-            if (c["symbolic_seconds"] > b["symbolic_seconds"]
-                    * (1.0 + MODELED_TOLERANCE)):
-                problems.append(
-                    f"{where}: estimated symbolic phase regressed "
-                    f"{b['symbolic_seconds'] * 1e6:.1f} -> "
-                    f"{c['symbolic_seconds'] * 1e6:.1f} us "
-                    f"(>{MODELED_TOLERANCE:.0%})")
-        if "gflops" in b and c["gflops"] < b["gflops"] * (1.0 - MODELED_TOLERANCE):
             problems.append(
-                f"{where}: modeled GFLOPS regressed "
-                f"{b['gflops']:.3f} -> {c['gflops']:.3f} "
-                f"(>{MODELED_TOLERANCE:.0%})")
-        if ("total_seconds" in b and
-                c["total_seconds"] > b["total_seconds"]
-                * (1.0 + MODELED_TOLERANCE)):
-            problems.append(
-                f"{where}: modeled total regressed "
-                f"{b['total_seconds'] * 1e6:.1f} -> "
-                f"{c['total_seconds'] * 1e6:.1f} us (>{MODELED_TOLERANCE:.0%})")
-        if ("cold_seconds" in b and "cold_seconds" in c
-                and c["cold_seconds"] > b["cold_seconds"]
-                * (1.0 + MODELED_TOLERANCE)):
-            problems.append(
-                f"{where}: modeled cold total regressed "
-                f"{b['cold_seconds'] * 1e6:.1f} -> "
-                f"{c['cold_seconds'] * 1e6:.1f} us (>{MODELED_TOLERANCE:.0%})")
-        for p, b_sec in b.get("phase_seconds", {}).items():
-            c_sec = c.get("phase_seconds", {}).get(p, 0.0)
-            if c_sec > b_sec * (1.0 + MODELED_TOLERANCE) + 1e-9:
-                problems.append(
-                    f"{where}: phase {p} regressed "
-                    f"{b_sec * 1e6:.1f} -> {c_sec * 1e6:.1f} us")
+                f"{where}: tuned total "
+                f"{c['total_seconds'] * 1e6:.1f} us exceeds default "
+                f"{c['default_seconds'] * 1e6:.1f} us")
+        modeled = [{k: v for k, v in r.items() if k not in WALLCLOCK_FIELDS}
+                   for r in (b, c)]
+        problems += _mismatches(where, *modeled)
 
     b_wall, c_wall = baseline.get("wall_seconds"), current.get("wall_seconds")
     if b_wall and c_wall and c_wall > b_wall * WALL_TOLERANCE:
@@ -431,8 +390,8 @@ def main(argv: list[str]) -> int:
         for p in problems:
             print(f"REGRESSION: {p}", file=sys.stderr)
         if not problems:
-            print(f"bench gate passed: {len(current['runs'])} runs within "
-                  f"{MODELED_TOLERANCE:.0%} of {argv[1]}")
+            print(f"bench gate passed: {len(current['runs'])} runs match "
+                  f"{argv[1]} (modeled rel {MODELED_RTOL:g})")
         return 1 if problems else 0
     print(__doc__, file=sys.stderr)
     return 2

@@ -31,8 +31,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.gpu.faults import FaultPlan
-    from repro.gpu.kernel import KernelLaunch
     from repro.gpu.scheduler import PhaseSchedule
     from repro.tune.sketch import MatrixSketch
     from repro.types import Precision
@@ -104,21 +102,6 @@ class Backend(abc.ABC):
     #: Analytic makespan of one kernel alone: ``(kernel, spec,
     #: precision) -> float`` (the tuner's sketch-scoring primitive).
     kernel_duration_alone: Callable[..., float]
-
-    def check_faults(self, kernels: "list[KernelLaunch]",
-                     faults: "FaultPlan | None") -> None:
-        """Raise for any injected kernel fault (both schedulers already
-        do this first; exposed for analytic callers)."""
-        if faults is None:
-            return
-        from repro.errors import HashTableError
-
-        for k in kernels:
-            event = faults.check_kernel(k.name)
-            if event is not None:
-                raise HashTableError(
-                    f"hash table full in kernel {k.name!r} "
-                    f"(injected: {event.rule})")
 
     # -- heterogeneous pools --------------------------------------------------
 

@@ -96,39 +96,6 @@ def run_suite(dataset_names: list[str], algorithms: tuple[str, ...] = DISPLAY_OR
     return runs
 
 
-def run_batch(dataset_names: list[str], algorithm: str = "proposal",
-              precision: str = "single", device: DeviceSpec = P100,
-              max_workers: int | None = None,
-              **options) -> tuple[list[BenchRun], object]:
-    """Run one algorithm over a suite via :meth:`SpGEMMEngine.batch`.
-
-    All multiplies go through one engine's worker pool; OOM/hash
-    failures come back as the paper's "-" entries (``oom=True``).
-    Returns ``(runs, engine)`` so callers can read the cache stats.
-    """
-    from repro.engine import BatchJob, SpGEMMEngine
-
-    eng = SpGEMMEngine(algorithm, **options)
-    datasets = [get_dataset(n) for n in dataset_names]
-    jobs = [BatchJob(ds.matrix(), None, precision, ds.name)
-            for ds in datasets]
-    for job in jobs:
-        job.B = job.A          # the suite squares each matrix
-    results = eng.batch(jobs, device=device, max_workers=max_workers,
-                        return_errors=True)
-    runs = []
-    for ds, res in zip(datasets, results):
-        if isinstance(res, (DeviceMemoryError, HashTableError)):
-            runs.append(BenchRun(ds.name, algorithm, precision, None,
-                                 oom=True))
-        elif isinstance(res, Exception):
-            raise res
-        else:
-            runs.append(BenchRun(ds.name, algorithm, precision, res.report,
-                                 resilience=res.resilience))
-    return runs, eng
-
-
 # ---------------------------------------------------------------------------
 # distributed strong scaling (E17)
 # ---------------------------------------------------------------------------
@@ -149,11 +116,6 @@ class DistScalingRun:
     steady: SimReport
 
     @property
-    def cold_comm_seconds(self) -> float:
-        """Interconnect wall time of the cold run."""
-        return self.cold.phase_seconds.get("comm", 0.0)
-
-    @property
     def steady_comm_seconds(self) -> float:
         """Interconnect wall time of the steady-state run."""
         return self.steady.phase_seconds.get("comm", 0.0)
@@ -170,14 +132,14 @@ def run_dist_scaling(dataset_names: list[str],
     Every (dataset, count) cell gets a fresh pool, multiplied ``repeat``
     times so the steady state reflects both cache layers.
     """
-    from repro.dist import DistSpGEMM
+    from repro.options import SpGEMMOptions, runner_for
 
     runs = []
     for name in dataset_names:
         A = get_dataset(name).matrix()
         for n in device_counts:
-            dist = DistSpGEMM(n_devices=n, interconnect=interconnect,
-                              algorithm=algorithm)
+            dist = runner_for(SpGEMMOptions(algorithm=algorithm, devices=n,
+                                            interconnect=interconnect))
             reports = [dist.multiply(A, A, precision=precision,
                                      device=device,
                                      matrix_name=name).report

@@ -83,66 +83,50 @@ def _bounds(params: GroupParams, metric: str) -> tuple[int, float]:
     return lo, (np.inf if hi is None else hi)
 
 
-def _partition_edges(table: GroupTable, metric: str) -> "np.ndarray | None":
-    """Bucket edges when the table's ranges tile ``[0, inf)`` exactly.
+def _partition_edges(table: GroupTable, metric: str) -> np.ndarray:
+    """Ascending group thresholds (one per group boundary) of ``table``.
 
-    Returns the ascending group thresholds (one per group boundary) when
-    the ranges are contiguous, non-overlapping and start at zero -- the
-    shape every Table I configuration (tuned or not) has -- so group
-    assignment reduces to one ``searchsorted``.  Returns ``None`` for
-    any other shape (the first-match scan then applies).
+    Every table :func:`~repro.core.params.build_group_table` derives
+    (tuned or not) has ranges that are contiguous, non-overlapping and
+    start at zero, so group assignment reduces to one ``searchsorted``;
+    any other shape would leave rows without a group or with two, and
+    raises :class:`AlgorithmError`.
     """
     bounds = sorted((_bounds(p, metric) for p in table), key=lambda b: b[0])
-    if bounds[0][0] != 0 or bounds[-1][1] != np.inf:
-        return None
-    for (_, hi), (lo, _) in zip(bounds[:-1], bounds[1:]):
-        if lo != hi + 1:
-            return None
+    tiles = bounds[0][0] == 0 and bounds[-1][1] == np.inf and all(
+        lo == hi + 1 for (_, hi), (lo, _) in zip(bounds[:-1], bounds[1:]))
+    if not tiles:
+        raise AlgorithmError(
+            f"group table {table.device_name!r}: {metric} ranges {bounds} "
+            f"do not tile [0, inf)")
     return np.asarray([lo for lo, _ in bounds[1:]])
 
 
 def assign_gids(counts: np.ndarray, table: GroupTable,
                 metric: str) -> np.ndarray:
-    """Per-row group ids (int8), first-match over the table's ranges.
+    """Per-row group ids (int8): the group whose range holds each count.
 
-    Vectorized: when the ranges tile ``[0, inf)`` (every real table),
-    one ``searchsorted`` against the ascending thresholds replaces the
-    per-group mask scan; otherwise the scan runs, preserving exact
-    first-match semantics for pathological hand-built tables.  Both
-    paths produce identical assignments on partitioning tables
-    (``tests/test_vectorized.py`` property-checks this).
+    One ``searchsorted`` against the table's ascending thresholds
+    (:func:`_partition_edges`, which rejects a table whose ranges do not
+    tile ``[0, inf)``).
     """
-    counts = np.asarray(counts)
     edges = _partition_edges(table, metric)
-    if edges is not None:
-        # bucket index in ascending-lo order -> gid of that bucket
-        order = np.argsort([_bounds(p, metric)[0] for p in table],
-                           kind="stable")
-        gid_of_bucket = np.asarray([p.gid for p in table],
-                                   dtype=np.int8)[order]
-        return gid_of_bucket[np.searchsorted(edges, counts, side="right")]
-    gids = np.full(counts.shape[0], -1, dtype=np.int8)
-    for params in table:
-        lo, hi = _bounds(params, metric)
-        gids[(counts >= lo) & (counts <= hi) & (gids == -1)] = params.gid
-    return gids
+    # bucket index in ascending-lo order -> gid of that bucket
+    order = np.argsort([_bounds(p, metric)[0] for p in table], kind="stable")
+    gid_of_bucket = np.asarray([p.gid for p in table], dtype=np.int8)[order]
+    return gid_of_bucket[np.searchsorted(edges, np.asarray(counts),
+                                         side="right")]
 
 
 def group_rows(counts: np.ndarray, table: GroupTable,
                metric: str) -> GroupAssignment:
     """Assign each row to its group by ``counts`` (products or nnz).
 
-    Guarantees a partition: every row lands in exactly one group; raises
-    :class:`AlgorithmError` if the group table's ranges do not cover some
-    count (which would be a bug in the table construction).
+    Guarantees a partition: every row lands in exactly one group, since
+    :func:`assign_gids` accepts only tables whose ranges tile
+    ``[0, inf)``.
     """
-    counts = np.asarray(counts)
     gids = assign_gids(counts, table, metric)
-    uncovered = int((gids == -1).sum())
-    if uncovered:
-        bad = counts[gids == -1][:5]
-        raise AlgorithmError(
-            f"{uncovered} rows not covered by group table (counts {bad})")
     rows_by_group = [np.flatnonzero(gids == params.gid).astype(INDEX_DTYPE)
                      for params in table]
     return GroupAssignment(table=table, metric=metric, gids=gids,

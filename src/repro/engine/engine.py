@@ -232,10 +232,16 @@ class SpGEMMEngine(SpGEMMAlgorithm):
         return reg
 
     def stats_summary(self) -> str:
-        """One-paragraph engine-stats block (the CLI's ``engine-stats``)."""
+        """One-paragraph engine-stats block (the CLI's ``engine-stats``).
+
+        The header says whether the inner runner can be plan-cached at
+        all; one that cannot passes every multiply through.
+        """
         s = self.cache.stats
+        cache = ("plan cache on" if self.inner.supports_plan_cache else
+                 "no plan cache: every run passes through")
         lines = [
-            f"engine: {self.inner.name} (plan cache on)",
+            f"engine: {self.inner.name} ({cache})",
             f"  lookups {s.lookups}  hits {s.hits}  misses {s.misses}  "
             f"hit-rate {100.0 * s.hit_rate:.1f}%",
             f"  plans {len(self.cache)}  "

@@ -25,10 +25,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro import perf
 from repro.errors import PlanMismatchError
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.expansion import contract, expand_products, values_from_recipe
+from repro.sparse.expansion import values_from_recipe
 from repro.sparse.product import pattern_digest, recipe_for
 
 if TYPE_CHECKING:   # pragma: no cover - typing only
@@ -168,22 +167,14 @@ def replay_values(plan, A: CSRMatrix, B: CSRMatrix,
     ``reduceat`` -- no pattern rehash, no value hashing, no full-result
     cache.  A caller replaying a plan outside the engine must keep the
     same precondition: on operands of another pattern the gather would
-    follow the plan's recipe.  ``REPRO_SCALAR_CORE=1`` re-runs the full
-    expansion + contraction instead.  Either way the output structure
-    must equal the cached one, else
-    :class:`~repro.errors.PlanMismatchError`; the check is free when the
-    recipe is the one the cold run's structure came from.
+    follow the plan's recipe.  The output structure must equal the
+    cached one, else :class:`~repro.errors.PlanMismatchError`; the check
+    is free when the recipe is the one the cold run's structure came
+    from.
     """
-    if perf.scalar_core_enabled():
-        exp = expand_products(A, B, with_values=True)
-        C = contract(exp.rows, exp.cols,
-                     exp.vals.astype(np.float64, copy=False),
-                     plan.shape, np.dtype(np.float64))
-        rpt, col, val = C.rpt, C.col, C.val
-    else:
-        recipe = recipe_for(A, B, plan.key.digest)
-        rpt, col = recipe.rpt, recipe.col
-        val = values_from_recipe(recipe, A, B)
+    recipe = recipe_for(A, B, plan.key.digest)
+    rpt, col = recipe.rpt, recipe.col
+    val = values_from_recipe(recipe, A, B)
     if not ((rpt is plan.c_rpt and col is plan.c_col)
             or (np.array_equal(rpt, plan.c_rpt)
                 and np.array_equal(col, plan.c_col))):

@@ -185,10 +185,6 @@ class DeviceMemory:
         """Currently live allocations, in insertion order."""
         return list(self._live.values())
 
-    def checkpoint(self) -> int:
-        """Current in-use bytes (for invariant checks in tests)."""
-        return self.in_use
-
     def __repr__(self) -> str:
         return (f"DeviceMemory(in_use={self.in_use:,}, peak={self.peak:,}, "
                 f"capacity={self.device.global_mem_bytes:,})")

@@ -163,9 +163,7 @@ def simulate_phase(kernels: list[KernelLaunch], device: DeviceSpec,
     identical kernel sets at identical clock offsets every iteration,
     and a hit returns bit-identical records (stored with absolute
     timestamps) without re-running the schedule.  Fault plans always
-    simulate live (``check_kernel`` is stateful).  ``REPRO_SCALAR_CORE=1``
-    disables the memo and runs every phase through the event loop, the
-    reference the lane schedule is pinned to.
+    simulate live (``check_kernel`` is stateful).
     """
     if not kernels:
         return PhaseSchedule(start=start_time, end=start_time, records=[])
@@ -179,9 +177,8 @@ def simulate_phase(kernels: list[KernelLaunch], device: DeviceSpec,
                     f"(injected: {event.rule})")
 
     p = Precision.parse(precision)
-    scalar = perf.scalar_core_enabled()
     key: bytes | None = None
-    if faults is None and not scalar:
+    if faults is None:
         key = _phase_key(kernels, device, p, start_time, use_streams)
         hit = _memo.get(key)
         if hit is not None:
@@ -192,7 +189,7 @@ def simulate_phase(kernels: list[KernelLaunch], device: DeviceSpec,
     durations = [block_durations(k, device, p) for k in kernels]
     serial = not use_streams or all(k.stream == kernels[0].stream
                                     for k in kernels)
-    if serial and not scalar:
+    if serial:
         records = _lane_schedule(kernels, durations, device, start_time,
                                  use_streams)
     else:

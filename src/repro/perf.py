@@ -1,16 +1,7 @@
-"""Fast-path switches shared by the vectorized simulator core.
+"""Shared stores of the simulator core's cross-run memos.
 
-Three concerns live here, all deliberately tiny and dependency-free:
+Two concerns live here, both deliberately tiny and dependency-free:
 
-* :func:`scalar_core_enabled` -- the ``REPRO_SCALAR_CORE=1`` escape
-  hatch.  The vectorized hot paths (the recipe store of
-  :mod:`repro.sparse.product`, the phase-schedule memo of
-  :mod:`repro.gpu.scheduler`) are bit-identical to the original
-  scalar/recomputing paths by construction, and the dual-path
-  equivalence suite (``tests/test_vectorized.py``) holds them to it.
-  Setting the environment variable routes every multiply through the
-  original paths -- the reference the fast paths are judged against,
-  and a one-line mitigation if a fast-path bug ever ships.
 * the fast-cache registry -- every module that keeps a cross-run memo
   registers a clearer here, so tests and the wall-clock harness can
   restore a cold-process state with one call
@@ -21,24 +12,11 @@ Three concerns live here, all deliberately tiny and dependency-free:
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from typing import Any, Callable, Hashable
 
-_ENV_FLAG = "REPRO_SCALAR_CORE"
-
 _clearers: list[Callable[[], None]] = []
-
-
-def scalar_core_enabled() -> bool:
-    """True when ``REPRO_SCALAR_CORE`` requests the original scalar paths.
-
-    Read from the environment on every call (a dict lookup -- it is
-    checked once per multiply/phase, never per element) so tests can
-    flip it with ``monkeypatch.setenv`` without reloading modules.
-    """
-    return os.environ.get(_ENV_FLAG, "") not in ("", "0")
 
 
 def register_cache_clearer(fn: Callable[[], None]) -> Callable[[], None]:

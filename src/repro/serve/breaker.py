@@ -93,7 +93,3 @@ class CircuitBreaker:
         self.state = to
         if to != HALF_OPEN:
             self.probes_in_flight = 0
-
-    @property
-    def last_transition(self) -> tuple[str, str] | None:
-        return self.transitions[-1] if self.transitions else None

@@ -14,8 +14,9 @@ sit in front of it:
   is everything value-independent about a product -- the sort
   permutation, the duplicate-run boundaries and the output structure --
   so a seen pattern costs a gather + multiply + ``reduceat`` instead of
-  the dominant stable sort, bit-identical by construction
-  (``tests/test_vectorized.py`` holds it to that).  Fresh-value
+  the dominant stable sort, bit-identical by construction (the recipe
+  tests hold it to the expansion + contraction behind
+  :func:`~repro.sparse.reference.spgemm_reference`).  Fresh-value
   iterates, plan-cache replays (:func:`repro.engine.plan.replay_values`,
   which pass the digest their plan key already carries, so nothing is
   rehashed and no values are hashed) and the tuner's sketch all read it.
@@ -23,7 +24,6 @@ sit in front of it:
 The recipe store is an LRU bounded by host bytes
 (:data:`RECIPE_BUDGET_BYTES`, sized from measured working sets); a
 recipe larger than the whole budget is kept alone as the newest entry.
-``REPRO_SCALAR_CORE=1`` computes every product without recipes.
 
 Both stores are invisible in the simulated timings (which are derived
 from the work model, not from wall-clock).  Values are accumulated in
@@ -41,8 +41,8 @@ import numpy as np
 
 from repro import perf
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.expansion import (SortRecipe, build_sort_recipe, contract,
-                                    expand_products, values_from_recipe)
+from repro.sparse.expansion import (SortRecipe, build_sort_recipe,
+                                    values_from_recipe)
 from repro.types import Precision
 
 #: Maximum retained operand pairs (strong references).  Sized to hold the
@@ -152,19 +152,12 @@ def compute_product(A: CSRMatrix, B: CSRMatrix) -> ProductResult:
     hit = _cache.get(key)
     if hit is not None and hit.anchors[0] is A.rpt:
         return hit
-    if perf.scalar_core_enabled():
-        exp = expand_products(A, B, with_values=True)
-        C = contract(exp.rows, exp.cols,
-                     exp.vals.astype(np.float64, copy=False),
-                     (A.n_rows, B.n_cols), np.dtype(np.float64))
-        row_counts = exp.row_counts
-    else:
-        recipe = recipe_for(A, B)
-        C = CSRMatrix(recipe.rpt, recipe.col, values_from_recipe(recipe, A, B),
-                      recipe.shape, check=False)
-        row_counts = recipe.row_counts
+    recipe = recipe_for(A, B)
+    C = CSRMatrix(recipe.rpt, recipe.col, values_from_recipe(recipe, A, B),
+                  recipe.shape, check=False)
     result = ProductResult(anchors=(A.rpt, A.col, B.rpt, B.col),
-                           row_products=row_counts.astype(np.int64), C=C)
+                           row_products=recipe.row_counts.astype(np.int64),
+                           C=C)
     _cache.put(key, result)
     return result
 

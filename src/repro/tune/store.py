@@ -31,8 +31,6 @@ import tempfile
 import threading
 import time
 
-from repro.core.params import ParamOverrides
-
 #: Bump when the entry layout or the objective changes incompatibly;
 #: stores written under any other schema are discarded on load.
 STORE_SCHEMA = 1
@@ -155,13 +153,6 @@ class TuningStore:
             entry: dict) -> None:
         self.entries[self.key(device_name, precision, digest)] = dict(entry)
         self.save()
-
-    def overrides_of(self, entry: dict) -> ParamOverrides:
-        """Decode an entry's stored overrides (default on bad data)."""
-        try:
-            return ParamOverrides.from_dict(entry.get("overrides", {}))
-        except (TypeError, ValueError):
-            return ParamOverrides()
 
     def __len__(self) -> int:
         return len(self.entries)

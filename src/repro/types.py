@@ -98,7 +98,7 @@ def next_pow2_array(n: "np.ndarray") -> "np.ndarray":
     The classic bit-smear: subtract one, OR in every right-shift down to
     32 bits, add one -- each element becomes the smallest power of two
     covering it.  Values below one clamp to one like the scalar form.
-    ``tests/test_vectorized.py`` property-checks the equivalence.
+    ``tests/test_types.py`` property-checks the equivalence.
     """
     v = np.maximum(np.asarray(n, dtype=np.int64), 1) - 1
     for shift in (1, 2, 4, 8, 16, 32):

@@ -1,12 +1,19 @@
 """Row-grouping tests (steps (2) and (6) of Figure 1)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.core.grouping import group_rows
+from repro.core.grouping import _bounds, assign_gids, group_rows
 from repro.core.params import build_group_table
 from repro.errors import AlgorithmError
 from repro.gpu.device import P100
+
+SETTINGS = settings(max_examples=40, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +51,52 @@ class TestPartition:
         a = group_rows(counts, table, "products")
         for rows in a.rows_by_group:
             assert np.all(np.diff(rows) > 0) or rows.shape[0] <= 1
+
+    @pytest.mark.parametrize("metric", ["products", "nnz"])
+    def test_table_that_does_not_tile_raises(self, table, metric):
+        # without Group 0 nothing covers the largest rows
+        broken = dataclasses.replace(table, groups=table.groups[1:])
+        with pytest.raises(AlgorithmError, match="do not tile"):
+            group_rows(np.array([0, 5, 10**6]), broken, metric)
+
+
+class TestGroupAssignmentProperty:
+    """The ``searchsorted`` assignment == a first-match scan over the
+    table's ranges."""
+
+    @staticmethod
+    def _scalar_gids(counts, table, metric):
+        gids = np.full(counts.shape[0], -1, dtype=np.int8)
+        for i, c in enumerate(counts):
+            for params in table:
+                lo, hi = _bounds(params, metric)
+                if lo <= c <= hi:
+                    gids[i] = params.gid
+                    break
+        return gids
+
+    @SETTINGS
+    @given(counts=st.lists(st.integers(min_value=0, max_value=200_000),
+                           min_size=1, max_size=300),
+           metric=st.sampled_from(["nnz", "products"]))
+    def test_assign_matches_scan(self, counts, metric):
+        counts = np.asarray(counts, dtype=np.int64)
+        table = build_group_table(P100)
+        fast = assign_gids(counts, table, metric)
+        assert np.array_equal(fast, self._scalar_gids(counts, table, metric))
+
+    @SETTINGS
+    @given(counts=st.lists(st.integers(min_value=0, max_value=200_000),
+                           min_size=1, max_size=300))
+    def test_group_rows_partition(self, counts):
+        counts = np.asarray(counts, dtype=np.int64)
+        table = build_group_table(P100)
+        ga = group_rows(counts, table, "products")
+        seen = np.concatenate([r for r in ga.rows_by_group])
+        assert sorted(seen.tolist()) == list(range(counts.shape[0]))
+        for params, rows in zip(table, ga.rows_by_group):
+            assert np.array_equal(ga.gids[rows],
+                                  np.full(rows.shape[0], params.gid))
 
 
 class TestAccessors:

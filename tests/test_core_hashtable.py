@@ -2,11 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.hashtable import (HashTable, expected_cas, expected_probes,
-                                  simulate_insertions)
+                                  simulate_insertions,
+                                  simulate_insertions_rows)
 from repro.errors import HashTableError
 from repro.types import HASH_SCAL
+
+SETTINGS = settings(max_examples=40, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
 
 
 class TestAlgorithm5Semantics:
@@ -155,3 +161,51 @@ class TestProbeEstimator:
         for n in (10, 100, 200):
             c = float(expected_cas(n, 256))
             assert n <= c <= 2 * n
+
+
+class TestHashProbeProperty:
+    """Batched Alg. 5 probe counts == per-row simulation."""
+
+    @SETTINGS
+    @given(rows=st.lists(st.lists(st.integers(min_value=0, max_value=63),
+                                  min_size=0, max_size=20),
+                         min_size=1, max_size=12),
+           size_exp=st.integers(min_value=2, max_value=6))
+    def test_rows_match_per_row(self, rows, size_exp):
+        size = 1 << size_exp
+        keys = np.asarray([k for row in rows for k in row], dtype=np.int64)
+        row_ptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum([len(row) for row in rows], out=row_ptr[1:])
+
+        try:
+            expect = [simulate_insertions(np.asarray(row, dtype=np.int64),
+                                          size) for row in rows]
+        except HashTableError:
+            with pytest.raises(HashTableError):
+                simulate_insertions_rows(keys, row_ptr, size)
+            return
+
+        distinct, probes = simulate_insertions_rows(keys, row_ptr, size)
+        assert np.array_equal(distinct, np.asarray([e[0] for e in expect]))
+        assert np.array_equal(probes, np.asarray([e[1] for e in expect]))
+
+    @SETTINGS
+    @given(row=st.lists(st.integers(min_value=0, max_value=31),
+                        min_size=1, max_size=16),
+           size_exp=st.integers(min_value=2, max_value=5))
+    def test_single_row_matches_table(self, row, size_exp):
+        """One-row batch == an actual HashTable insertion sequence."""
+        size = 1 << size_exp
+        keys = np.asarray(row, dtype=np.int64)
+        row_ptr = np.asarray([0, len(row)], dtype=np.int64)
+        table = HashTable(size)
+        try:
+            for k in row:
+                table.insert(int(k))
+        except HashTableError:
+            with pytest.raises(HashTableError):
+                simulate_insertions_rows(keys, row_ptr, size)
+            return
+        distinct, probes = simulate_insertions_rows(keys, row_ptr, size)
+        assert int(distinct[0]) == table.count
+        assert int(probes[0]) == table.probes

@@ -10,12 +10,20 @@ fully dense row).
 
 The full corpus sweep is marked ``corpus`` (slow); a fast subset always
 runs so plain tier-1 keeps differential coverage.
+
+The GPU scheduler has two exact implementations, and the fast subset
+also runs every runner's GPU phases through the discrete-event loop
+with the phase memo missing, against the default lane schedule and
+memo (the CPU leaves keep their own scheduler).
 """
 
 import numpy as np
 import pytest
 
 import repro
+from repro import perf
+from repro.gpu import scheduler
+from repro.obs.export import trace_summary
 from repro.sparse import generators
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.reference import spgemm_reference
@@ -100,3 +108,24 @@ def test_report_flops_metric(algo, rng):
     assert r.algorithm == algo
     assert r.flops == 2 * r.n_products
     assert r.total_seconds > 0
+
+
+def _cold_report(algo: str, A: CSRMatrix):
+    perf.clear_fast_caches()
+    return repro.multiply(A, A,
+                          options=repro.SpGEMMOptions(**RUNNERS[algo])).report
+
+
+@pytest.mark.parametrize("algo", ALL_ALGOS)
+@pytest.mark.parametrize("gen", FAST)
+def test_event_loop_matches_lane_schedule(algo, gen, rng, monkeypatch):
+    A = CORPUS[gen](rng)
+    lanes = _cold_report(algo, A)
+    monkeypatch.setattr(scheduler, "_lane_schedule", scheduler._event_loop)
+    monkeypatch.setattr(scheduler._memo, "get", lambda key: None)
+    events = _cold_report(algo, A)
+    assert events.total_seconds == lanes.total_seconds, algo
+    assert events.phase_seconds == lanes.phase_seconds, algo
+    assert events.peak_bytes == lanes.peak_bytes, algo
+    assert trace_summary(events) == trace_summary(lanes), algo
+

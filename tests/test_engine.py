@@ -367,6 +367,20 @@ class TestIntegration:
         assert "engine: proposal (plan cache on)" in out
         assert "hit-rate 50.0%" in out
 
+    @pytest.mark.parametrize("inner,flags", [
+        ("resilient", ["--resilient"]), ("cusparse", ["--algo", "cusparse"])])
+    def test_cli_repeat_says_when_nothing_is_cached(self, capsys, inner,
+                                                    flags):
+        from repro.cli import main
+
+        assert main(["multiply", "--generate", "banded:400:8", *flags,
+                     "--repeat", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "plan cache on" not in out
+        assert (f"engine: {inner} (no plan cache: every run passes "
+                f"through)") in out
+        assert "lookups 0" in out and "passthrough 3" in out
+
     def test_cli_no_engine_stays_cold(self, capsys):
         from repro.cli import main
 

@@ -204,10 +204,7 @@ def serial_phases(draw):
 
 class TestLaneSchedule:
     """Serialized phases are list-scheduled onto lanes without events;
-    the event loop stays the reference they must equal bit for bit.
-    Calls through ``simulate_phase`` pin the vectorized core, since
-    ``REPRO_SCALAR_CORE=1`` runs every phase through the event loop
-    without the memo."""
+    the event loop stays the reference they must equal bit for bit."""
 
     @SETTINGS
     @given(phase=serial_phases())
@@ -230,23 +227,20 @@ class TestLaneSchedule:
         ref = scheduler._event_loop(
             kernels, [block_durations(k, P100, p) for k in kernels], P100,
             start, use_streams)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.delenv("REPRO_SCALAR_CORE", raising=False)
-            scheduler.clear_phase_memo()
-            cold = simulate_phase(kernels, P100, p, start_time=start,
-                                  use_streams=use_streams)
-            assert cold.records == ref
-            assert cold.end == max(r.end for r in ref)
-            assert len(scheduler._memo) == 1
-            warm = simulate_phase(kernels, P100, p, start_time=start,
-                                  use_streams=use_streams)
+        scheduler.clear_phase_memo()
+        cold = simulate_phase(kernels, P100, p, start_time=start,
+                              use_streams=use_streams)
+        assert cold.records == ref
+        assert cold.end == max(r.end for r in ref)
+        assert len(scheduler._memo) == 1
+        warm = simulate_phase(kernels, P100, p, start_time=start,
+                              use_streams=use_streams)
         assert warm.records == cold.records and warm.end == cold.end
 
     def test_serialized_phases_skip_the_event_loop(self, monkeypatch):
         def no_events(*args):
             raise AssertionError("event loop ran on a serialized phase")
 
-        monkeypatch.delenv("REPRO_SCALAR_CORE", raising=False)
         monkeypatch.setattr(scheduler, "_event_loop", no_events)
         scheduler.clear_phase_memo()
         same = [uniform_kernel(300, stream=2), uniform_kernel(9, stream=2)]
@@ -258,7 +252,6 @@ class TestLaneSchedule:
 
     def test_event_budget_guards_the_lane_path(self, monkeypatch):
         # blocks + launches: 20 + 1 events
-        monkeypatch.delenv("REPRO_SCALAR_CORE", raising=False)
         scheduler.clear_phase_memo()
         monkeypatch.setattr(scheduler, "MAX_EVENTS", 20)
         with pytest.raises(SchedulerError, match="event budget"):
@@ -266,8 +259,7 @@ class TestLaneSchedule:
         monkeypatch.setattr(scheduler, "MAX_EVENTS", 21)
         simulate_phase([uniform_kernel(20)], P100, "single")
 
-    def test_unlaunchable_config_raises_on_the_lane_path(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SCALAR_CORE", raising=False)
+    def test_unlaunchable_config_raises_on_the_lane_path(self):
         scheduler.clear_phase_memo()
         too_wide = uniform_kernel(4, threads=P100.max_threads_per_block + 1)
         with pytest.raises(DeviceConfigError):

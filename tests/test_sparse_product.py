@@ -92,12 +92,10 @@ def _fresh(P, rng):
 
 
 class TestRecipeStore:
-    """The pattern-keyed LRU of sort recipes, bounded by host bytes (the
-    vectorized core's store: ``REPRO_SCALAR_CORE=1`` bypasses it)."""
+    """The pattern-keyed LRU of sort recipes, bounded by host bytes."""
 
     @pytest.fixture(autouse=True)
-    def vectorized_core(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SCALAR_CORE", raising=False)
+    def cold_caches(self):
         perf.clear_fast_caches()
 
     def _mats(self, n):

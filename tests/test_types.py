@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.types import HASH_EMPTY, HASH_SCAL, Precision, next_pow2
+from repro.types import (HASH_EMPTY, HASH_SCAL, Precision, next_pow2,
+                         next_pow2_array)
 
 
 class TestPrecision:
@@ -55,6 +58,17 @@ class TestNextPow2:
             assert p >= n
             assert p & (p - 1) == 0
             assert p < 2 * n or n <= 1
+
+
+class TestNextPow2Property:
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(ns=st.lists(st.integers(min_value=0, max_value=2**40),
+                       min_size=1, max_size=200))
+    def test_array_matches_scalar(self, ns):
+        got = next_pow2_array(np.asarray(ns, dtype=np.int64))
+        assert got.tolist() == [next_pow2(n) for n in ns]
 
 
 def test_hash_constants():
