@@ -351,14 +351,20 @@ class SpGEMMAlgorithm(abc.ABC):
     @staticmethod
     def _prepare(A: CSRMatrix, B: CSRMatrix,
                  precision: Precision | str) -> tuple[CSRMatrix, CSRMatrix, Precision]:
-        """Validate shapes and cast operands to the requested precision."""
+        """Validate shapes and cast operands to the requested precision.
+
+        ``A @ A`` stays one operand: it is cast once and ``B is A`` holds
+        after the cast, so the algorithms keep one resident copy."""
         if A.n_cols != B.n_rows:
             raise ShapeMismatchError(
                 f"cannot multiply {A.shape} by {B.shape}")
         p = Precision.parse(precision)
+        square = B is A
         if A.dtype != p.value_dtype:
             A = A.astype(p)
-        if B.dtype != p.value_dtype:
+        if square:
+            B = A
+        elif B.dtype != p.value_dtype:
             B = B.astype(p)
         return A, B, p
 

@@ -131,8 +131,9 @@ class SpGEMMEngine(SpGEMMAlgorithm):
                     A, B, plan, precision=p, device=device,
                     matrix_name=matrix_name)
             except PlanMismatchError:
-                # the pattern behind the digest changed under us (in-place
-                # mutation); drop the stale plan and recover with a cold run
+                # the plan no longer fits (safety net: structure arrays
+                # are read-only, so only a broken ownership contract gets
+                # here); drop the stale plan and recover with a cold run
                 self.cache.retract_hit(key, plan)
 
         capture = PlanCapture(key)

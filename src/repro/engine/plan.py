@@ -15,7 +15,10 @@ structure -- so a later call with the same pattern replays only the
 numeric phase.  :class:`PlanKey` is the cache key: a BLAKE2b digest of
 the four pattern arrays plus the algorithm identity (name and ablation
 switches), device and precision, all of which change the captured
-kernels.
+kernels.  The digest comes from :func:`~repro.sparse.product.
+pattern_fingerprint`, computed once per operand structure: a warm
+iterate (fresh values on a seen structure) builds its key without
+hashing anything.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ import numpy as np
 from repro.errors import PlanMismatchError
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.expansion import values_from_recipe
-from repro.sparse.product import pattern_digest, recipe_for
+from repro.sparse.product import (pattern_digest, pattern_fingerprint,
+                                  recipe_for)
 
 if TYPE_CHECKING:   # pragma: no cover - typing only
     from repro.core.grouping import GroupAssignment
@@ -63,7 +67,7 @@ class PlanKey:
 def make_key(A: CSRMatrix, B: CSRMatrix, algorithm, device: "DeviceSpec",
              precision: Precision) -> PlanKey:
     """Build the cache key for one multiply through ``algorithm``."""
-    return PlanKey(digest=pattern_digest(A, B), algorithm=algorithm.name,
+    return PlanKey(digest=pattern_fingerprint(A, B), algorithm=algorithm.name,
                    switches=getattr(algorithm, "plan_switches", tuple)(),
                    device=device.name, precision=precision.value)
 
@@ -170,7 +174,10 @@ def replay_values(plan, A: CSRMatrix, B: CSRMatrix,
     follow the plan's recipe.  The output structure must equal the
     cached one, else :class:`~repro.errors.PlanMismatchError`; the check
     is free when the recipe is the one the cold run's structure came
-    from.
+    from.  Structure arrays are read-only, so the check is safety code:
+    it fires only if the ownership contract was broken (a structure
+    array written through an alias that predates the matrix, or its
+    write flag switched back on).
     """
     recipe = recipe_for(A, B, plan.key.digest)
     rpt, col = recipe.rpt, recipe.col
@@ -180,7 +187,8 @@ def replay_values(plan, A: CSRMatrix, B: CSRMatrix,
                 and np.array_equal(col, plan.c_col))):
         raise PlanMismatchError(
             f"plan {plan.key.label()}: output structure deviates from "
-            f"the cached pattern (operands mutated in place?)")
+            f"the cached pattern (a structure array written despite the "
+            f"read-only contract?)")
     # ``val`` is fresh, never a cached array, so the cast need not copy
     return CSRMatrix(plan.c_rpt, plan.c_col,
                      val.astype(precision.value_dtype, copy=False),

@@ -248,7 +248,10 @@ class OptionsError(ReproError):
 
 class PlanMismatchError(AlgorithmError):
     """A cached :class:`repro.engine.plan.SpGEMMPlan` no longer matches its
-    operands: the sparsity pattern behind the cache key changed (in-place
-    mutation of ``rpt``/``col``) or the plan was built under different
-    switches.  The engine treats this as a miss and falls back to a cold
-    run; it only propagates when replay is invoked directly."""
+    operands: the plan was built under different switches or shapes, or
+    the sparsity pattern behind the cache key changed.  ``rpt``/``col``
+    are read-only from construction on, so the latter means the
+    ownership contract was broken (a write through an alias that
+    predates the matrix, or a write flag switched back on).  The engine
+    treats this as a miss and falls back to a cold run; it only
+    propagates when replay is invoked directly."""

@@ -7,7 +7,8 @@ Two concerns live here, both deliberately tiny and dependency-free:
   restore a cold-process state with one call
   (:func:`clear_fast_caches`);
 * :class:`LRUCache` -- the one bounded, thread-safe store behind those
-  memos (the product cache, the recipe store, the phase memo).
+  memos (the product cache, the recipe store, the pattern-fingerprint
+  memo, the phase memo).
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ def register_cache_clearer(fn: Callable[[], None]) -> Callable[[], None]:
 def clear_fast_caches() -> None:
     """Drop every registered cross-run memo (cold-process state).
 
-    Covers the functional product cache, the recipe store and the
-    scheduler's phase memo; modules register themselves on import, and
-    the product cache is imported here so a bare ``clear_fast_caches()``
-    always reaches it.
+    Covers the functional product cache, the recipe store, the
+    pattern-fingerprint memo and the scheduler's phase memo; modules
+    register themselves on import, and the product module is imported
+    here so a bare ``clear_fast_caches()`` always reaches its stores.
     """
     from repro.sparse import product
 

@@ -37,7 +37,6 @@ runs, never *what* it computes.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import threading
 import time
@@ -59,6 +58,7 @@ from repro.serve.breaker import STATE_VALUES, CircuitBreaker
 from repro.serve.policy import ServePolicy
 from repro.serve.queue import WeightedFairQueue
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.product import pattern_fingerprint, value_tags
 from repro.types import Precision
 
 #: How often a blocked worker re-checks deadlines with no queue activity.
@@ -92,15 +92,12 @@ def estimate_job_bytes(A: CSRMatrix, B: CSRMatrix,
     return int(A.device_bytes(p) + B.device_bytes(p) + c_bytes + work_bytes)
 
 
-def _digest_job(A: CSRMatrix, B: CSRMatrix, options: SpGEMMOptions) -> str:
-    """Coalescing key: operand digests + the options' execution token."""
-    h = hashlib.blake2b(digest_size=16)
-    for a in (A.rpt, A.col, A.val, B.rpt, B.col, B.val):
-        h.update(str(a.dtype).encode())
-        h.update(a.tobytes())
-    h.update(f"{A.shape}{B.shape}".encode())
-    h.update(options.coalesce_token().encode())
-    return h.hexdigest()
+def _digest_job(A: CSRMatrix, B: CSRMatrix, options: SpGEMMOptions) -> tuple:
+    """Coalescing key: the operands' pattern fingerprint (memoized, so a
+    seen structure is not rehashed), their value tags and the options'
+    execution token."""
+    return (pattern_fingerprint(A, B), *value_tags(A, B),
+            options.coalesce_token())
 
 
 class ServedJob:
@@ -126,7 +123,7 @@ class ServedJob:
         self.outcome = ""              #: terminal: completed/failed/timed_out
         self._future: Future = Future()
         # internal bookkeeping (server-owned)
-        self._digest = ""
+        self._digest: tuple = ()       #: coalescing key (empty: none)
         self._payload = None           #: (A, B, options, faults)
 
     # -- future surface ----------------------------------------------------
@@ -206,7 +203,7 @@ class SpGEMMServer:
         for tenant, w in (tenant_weights or {}).items():
             self._queue.set_weight(tenant, w)
         self._breakers: dict[str, CircuitBreaker] = {}
-        self._inflight_by_digest: dict[str, ServedJob] = {}
+        self._inflight_by_digest: dict[tuple, ServedJob] = {}
         self._in_flight_bytes = 0
         self._running = 0
         self._stopping = False

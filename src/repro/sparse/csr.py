@@ -5,6 +5,12 @@ in the paper ("All input and output matrices are stored in CSR format",
 Section III).  The container is deliberately minimal: three arrays plus a
 shape, with canonicalization helpers.  ``rpt`` follows the paper's naming
 (row pointer); ``col`` / ``val`` hold column indices and values.
+
+A matrix *owns* its structure: ``rpt`` and ``col`` are read-only from
+construction on, so an array's identity implies its content and the
+pattern fingerprint (:func:`repro.sparse.product.pattern_fingerprint`)
+is computed once per structure, not once per call.  ``val`` stays
+writable -- iterative workloads update values in place.
 """
 
 from __future__ import annotations
@@ -18,6 +24,21 @@ from repro.types import INDEX_DTYPE, Precision
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.sparse.coo import COOMatrix
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` made read-only, copied first if some writable array can
+    still reach its memory (a view of a writable base, or of a foreign
+    buffer)."""
+    base = a.base
+    while isinstance(base, np.ndarray):
+        if base.flags.writeable:
+            break
+        base = base.base
+    if base is not None:
+        a = a.copy()
+    a.flags.writeable = False
+    return a
 
 
 class CSRMatrix:
@@ -37,14 +58,20 @@ class CSRMatrix:
     check:
         Validate structural invariants on construction (default True).
         Disable in hot paths that construct provably-valid output.
+
+    ``rpt`` and ``col`` are frozen read-only.  An array that owns its
+    data is frozen in place (the caller's reference becomes read-only
+    too); a view into a writable array is copied first, so no alias can
+    rewrite the structure under a cached fingerprint.  Views of frozen
+    arrays (:meth:`row_panel`) are kept as they are.
     """
 
     __slots__ = ("rpt", "col", "val", "shape")
 
     def __init__(self, rpt: np.ndarray, col: np.ndarray, val: np.ndarray,
                  shape: tuple[int, int], *, check: bool = True) -> None:
-        self.rpt = np.ascontiguousarray(rpt, dtype=INDEX_DTYPE)
-        self.col = np.ascontiguousarray(col, dtype=INDEX_DTYPE)
+        self.rpt = _frozen(np.ascontiguousarray(rpt, dtype=INDEX_DTYPE))
+        self.col = _frozen(np.ascontiguousarray(col, dtype=INDEX_DTYPE))
         if val.dtype not in (np.float32, np.float64):
             val = np.asarray(val, dtype=np.float64)
         self.val = np.ascontiguousarray(val)

@@ -188,6 +188,39 @@ class TestCanonical:
         assert not tiny.allclose(other)
 
 
+class TestOwnership:
+    """A matrix owns read-only structure arrays; values stay writable."""
+
+    def test_structure_is_read_only_values_writable(self, tiny):
+        with pytest.raises(ValueError):
+            tiny.rpt[1] = 0
+        with pytest.raises(ValueError):
+            tiny.col[0] = 3
+        tiny.val[:] = 7.0
+        assert np.all(tiny.val == 7.0)
+
+    def test_owned_array_is_frozen_in_place(self):
+        rpt, col = np.array([0, 1, 2]), np.array([1, 0])
+        A = CSRMatrix(rpt, col, np.ones(2), (2, 2))
+        assert A.rpt is rpt and A.col is col
+        assert not rpt.flags.writeable
+
+    def test_view_of_writable_array_is_copied(self):
+        buf = np.array([9, 0, 1, 2, 1, 0])
+        A = CSRMatrix(buf[1:4], buf[4:], np.ones(2), (2, 2))
+        assert not np.shares_memory(A.rpt, buf)
+        assert not np.shares_memory(A.col, buf)
+        buf[:] = -1                     # the alias cannot reach A
+        np.testing.assert_array_equal(A.rpt, [0, 1, 2])
+        np.testing.assert_array_equal(A.col, [1, 0])
+        assert buf.flags.writeable      # the caller's buffer is untouched
+
+    def test_row_panel_keeps_views_of_frozen_arrays(self, small_banded):
+        panel = small_banded.row_panel(10, 40)
+        assert np.shares_memory(panel.col, small_banded.col)
+        assert not panel.col.flags.writeable
+
+
 class TestExtractRows:
     def test_preserves_order_and_repeats(self, small_random):
         idx = [5, 2, 2, 59, 0]

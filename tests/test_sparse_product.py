@@ -1,14 +1,24 @@
-"""Tests for the cached functional product and matrix statistics."""
+"""Tests for the cached functional product, operand fingerprints and
+matrix statistics."""
+
+import gc
+import os
+import sys
+import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
 
+import repro
 from repro import perf
 from repro.sparse import generators, product
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.expansion import build_sort_recipe
-from repro.sparse.product import (clear_cache, compute_product, product_for,
-                                  recipe_for, _cache)
+from repro.sparse.product import (clear_cache, compute_product,
+                                  pattern_digest, pattern_fingerprint,
+                                  product_for, recipe_for, _cache)
 from repro.sparse.reference import spgemm_reference
 from repro.sparse.stats import compute_stats
 from repro.types import Precision
@@ -86,6 +96,26 @@ def builds(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def hashes(monkeypatch):
+    """Counts the structure and value hashes behind every operand key."""
+    calls = {"pattern": 0, "values": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(product, "pattern_digest",
+                        counting("pattern", product.pattern_digest))
+    monkeypatch.setattr("repro.engine.plan.pattern_digest",
+                        product.pattern_digest)
+    monkeypatch.setattr(product, "_val_tag",
+                        counting("values", product._val_tag))
+    return calls
+
+
 def _fresh(P, rng):
     return CSRMatrix(P.rpt, P.col, P.val * rng.uniform(0.5, 1.5, P.nnz),
                      P.shape, check=False)
@@ -160,34 +190,170 @@ class TestRecipeStore:
         assert recipe_for(P2, P2) is big and len(builds) == 2
 
     def test_plan_hit_hashes_neither_pattern_twice_nor_values(
-            self, monkeypatch):
+            self, hashes):
         """A replay reads its recipe by the digest the plan key already
-        carries: one pattern hash (the key), no value hash."""
+        carries, and the key reads the fingerprint memo: a fresh-value
+        iterate on the warmed structure hashes neither pattern nor
+        values."""
         from repro.engine import SpGEMMEngine
 
         A = self._mats(1)[0]
         eng = SpGEMMEngine("proposal")
         eng.multiply(A, A)
-        calls = {"pattern": 0, "values": 0}
-
-        def counting(name, fn):
-            def wrapped(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapped
-
-        monkeypatch.setattr(product, "pattern_digest",
-                            counting("pattern", product.pattern_digest))
-        monkeypatch.setattr("repro.engine.plan.pattern_digest",
-                            product.pattern_digest)
-        monkeypatch.setattr(product, "_val_tag",
-                            counting("values", product._val_tag))
+        hashes.update(pattern=0, values=0)
         A2 = _fresh(A, np.random.default_rng(1))
         hit = eng.multiply(A2, A2)
         assert eng.stats().hits == 1
-        assert calls == {"pattern": 1, "values": 0}
+        assert hashes == {"pattern": 0, "values": 0}
         assert np.array_equal(hit.matrix.val,
                               compute_product(A2, A2).C.val)
+
+
+class TestFingerprintMemo:
+    """One pattern fingerprint per structure, validated by weak references."""
+
+    @pytest.fixture(autouse=True)
+    def cold_caches(self):
+        perf.clear_fast_caches()
+
+    def _banded(self, seed=0):
+        return generators.banded(80, 6, rng=np.random.default_rng(seed))
+
+    def test_equal_structure_in_distinct_arrays_digests_alike(self):
+        rpt, col = np.array([0, 2, 3, 5]), np.array([0, 2, 1, 0, 2])
+        A = CSRMatrix(rpt, col, np.ones(5), (3, 3))
+        B = CSRMatrix(rpt.copy(), col.copy(), np.arange(5.0), (3, 3))
+        R = CSRMatrix(np.array([0, 1, 3]), np.array([2, 0, 1]), np.ones(3),
+                      (2, 4))
+        assert B.rpt is not A.rpt and B.col is not A.col
+        # pinned before the memo existed: the digest format is unchanged
+        same = "65cf28c100c508504fa6eabe1e9b9d3f"
+        assert pattern_digest(A, B) == pattern_digest(A, A) == same
+        assert pattern_fingerprint(A, B) == pattern_fingerprint(A, A) == same
+        assert pattern_fingerprint(A, R) == "1f70ccc7910a7e3b2834e598cb4ddf4e"
+        assert pattern_fingerprint(A) == pattern_digest(A) != same
+
+    def test_fresh_values_on_a_seen_structure_hash_nothing(self, hashes):
+        A = self._banded()
+        digest = pattern_fingerprint(A, A)
+        for seed in range(3):
+            M = _fresh(A, np.random.default_rng(seed))
+            assert pattern_fingerprint(M, M) == digest
+            assert pattern_fingerprint(M.astype("single"), M) == digest
+            assert recipe_for(M, M) is recipe_for(A, A)
+        assert hashes == {"pattern": 1, "values": 0}
+
+    def test_square_cast_hashes_values_once(self, hashes):
+        """``A @ A`` at single precision on a float64 ``A`` casts once:
+        one value hash per multiply, not one per operand."""
+        A = self._banded()
+        assert A.dtype == np.float64
+        repro.multiply(A, A, precision="single")
+        assert hashes["values"] == 1
+        repro.multiply(A, A, precision="single")
+        assert hashes["values"] == 2
+
+    def test_warm_tuned_engine_iterates_hash_nothing(self, hashes):
+        """A held tuned, plan-cached runner: after set-up, 8 fresh-value
+        iterates on one pattern hash neither structure nor values."""
+        from repro.options import SpGEMMOptions, runner_for
+
+        A = generators.banded(300, 8, rng=np.random.default_rng(0))
+        runner = runner_for(SpGEMMOptions(engine=True, tune=True))
+        runner.multiply(A, A)           # the tune search and the cold plan
+        hashes.update(pattern=0, values=0)
+        values = np.random.default_rng(1)
+        runs = []
+        for _ in range(8):
+            M = _fresh(A, values)
+            runs.append((M, runner.multiply(M, M).matrix))
+        assert hashes == {"pattern": 0, "values": 0}
+        assert runner.inner.stats().hits == 8
+        for M, got in runs:
+            assert got.allclose(spgemm_reference(M, M), rtol=1e-12)
+
+    def test_memo_keeps_no_operand_alive(self):
+        A = self._banded()
+        pattern_fingerprint(A, A)
+        recipe_for(A, A)
+        ref = weakref.ref(A.col)
+        del A
+        gc.collect()
+        assert ref() is None
+
+    def test_reused_ids_never_hit(self):
+        """Short-lived operands of changing patterns land on the ids of
+        collected ones; every memoized digest still equals a fresh hash."""
+        rng = np.random.default_rng(0)
+        seen, reused = set(), 0
+        for k in range(200):
+            M = generators.random_csr(20, 20, 1 + k % 5, rng=rng)
+            key = (id(M.rpt), id(M.col))
+            reused += key in seen
+            seen.add(key)
+            assert pattern_fingerprint(M) == pattern_digest(M)
+            del M
+        assert reused > 0               # the check above was exercised
+
+    def test_writable_structure_is_hashed_every_call(self, hashes):
+        """A structure array swapped in after construction bypasses the
+        ownership contract, so the memo never trusts it."""
+        A = self._banded()
+        A.col = A.col.copy()
+        pattern_fingerprint(A, A)
+        pattern_fingerprint(A, A)
+        assert hashes["pattern"] == 2 and len(product._fingerprints) == 0
+
+    def test_clear_fast_caches_empties_the_memo(self):
+        A = self._banded()
+        pattern_fingerprint(A, A)
+        pattern_fingerprint(A)
+        assert len(product._fingerprints) == 2
+        perf.clear_fast_caches()
+        assert len(product._fingerprints) == 0
+
+    def test_concurrent_callers_agree_with_fresh_hashes(self, monkeypatch):
+        """More threads than cores, a 1 us switch interval and a memo
+        small enough to evict all the time: every memoized digest equals
+        a fresh :func:`pattern_digest`, and every thread finishes."""
+        monkeypatch.setattr(product._fingerprints, "budget", 4)
+        pool = [generators.random_csr(30, 30, 1 + k % 4,
+                                      rng=np.random.default_rng(k))
+                for k in range(12)]
+        expected = {(i, j): pattern_digest(pool[i], pool[j])
+                    for i in range(12) for j in range(12)}
+        errors: list[str] = []
+        stop = time.perf_counter() + 0.5
+
+        def worker(seed: int) -> None:
+            rng = np.random.default_rng(seed)
+            try:
+                while time.perf_counter() < stop:
+                    for i, j in rng.integers(12, size=(64, 2)).tolist():
+                        got = pattern_fingerprint(pool[i], pool[j])
+                        if got != expected[i, j]:
+                            errors.append(f"mismatch in thread {seed}")
+                    M = generators.random_csr(30, 30, 2, rng=rng)
+                    if pattern_fingerprint(M) != pattern_digest(M):
+                        errors.append(f"fresh mismatch in thread {seed}")
+            except Exception as e:      # surfaced by the assert below
+                errors.append(repr(e))
+
+        threads = [threading.Thread(target=worker, args=(i,), daemon=True)
+                   for i in range((os.cpu_count() or 1) + 2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        # a lost update on the memo's bookkeeping would break this
+        assert product._fingerprints.total == len(product._fingerprints) <= 4
 
 
 class TestStats:
