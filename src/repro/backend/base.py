@@ -11,7 +11,8 @@ know about one architecture family:
   :class:`~repro.base.RunContext` accounting is backend-agnostic;
 * the **native algorithms** of the architecture and how to translate a
   foreign algorithm name onto it (heterogeneous ``dist`` pools);
-* the **tuning hooks**: the override type, its search grid and the
+* its **tuning families**, declared as :class:`TuningFamily` data: the
+  leaf whose parameters a family tunes, its search grid, sketch and
   sketch-level objective, so :class:`~repro.tune.tuner.Autotuner`
   searches each backend's genuinely different parameter space through
   one code path.
@@ -26,29 +27,28 @@ module functions.
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.base import SpGEMMAlgorithm
     from repro.gpu.scheduler import PhaseSchedule
-    from repro.tune.sketch import MatrixSketch
-    from repro.types import Precision
 
 
 @dataclass(frozen=True)
 class TuningFamily:
-    """One tunable algorithm family of a backend.
+    """One tunable algorithm family of a backend, declared as data.
 
     A backend may host several families with genuinely different search
     spaces (the GPU hosts the hash proposal's Table I space *and* the
-    tile family's tile/density space).  Each family bundles its override
-    codec, search grid, sketch builder and sketch-level objective, so
+    tile family's tile/density space).  Each family names the leaf
+    class it measures with -- whose :attr:`~repro.base.SpGEMMAlgorithm.
+    param_type` is the family's param type -- plus its search grid,
+    sketch builder and sketch-level objective, so
     :class:`~repro.tune.tuner.Autotuner` drives any of them through one
-    code path.  The family is selected by the ``apply_param_overrides``
-    protocol: the first family whose default override object the inner
-    algorithm accepts owns the search (an algorithm declines foreign
-    param types, so the probe is unambiguous).
+    code path.  A leaf belongs to the family sharing its param type
+    (:func:`repro.tune.tuner.tuning_family`), so the three CPU leaves
+    share the one CPU family.
 
     Families must produce sketches with non-colliding digests (the tile
     sketch namespaces its hash), because the persistent tuning store is
@@ -57,21 +57,23 @@ class TuningFamily:
 
     #: family label (events / debugging)
     family: str
-    #: the all-default override object of the family's param type
-    default_overrides: Callable[[], Any]
-    #: decode a ``to_dict`` store entry back to the param type
-    decode_overrides: Callable[[dict], Any]
+    #: the leaf class the search measures with (no-argument constructor)
+    leaf: "type[SpGEMMAlgorithm]"
     #: the search grid for a spec (candidate 0 is the default)
     candidates: Callable[[Any], list]
-    #: analytic objective ``(sketch, spec, precision, overrides) -> s``
+    #: analytic objective ``(sketch, spec, precision, params) -> s``
     modeled_total: Callable[..., float]
-    #: a fresh native algorithm instance carrying the overrides
-    algorithm: Callable[[Any], Any]
     #: sketch builder ``(A, B) -> sketch`` (must expose ``digest()``)
     sketch: Callable[[Any, Any], Any]
 
+    @property
+    def param_type(self) -> Any:
+        """The family's param type: a no-argument constructor gives the
+        defaults and ``from_dict`` decodes a store entry."""
+        return self.leaf.param_type
 
-class Backend(abc.ABC):
+
+class Backend:
     """One architecture family behind the hardware-abstraction layer."""
 
     #: registry key ('gpu', 'cpu')
@@ -133,52 +135,16 @@ class Backend(abc.ABC):
                 return self.default_algorithm
         return name
 
-    # -- tuning hooks ---------------------------------------------------------
-
-    @abc.abstractmethod
-    def default_overrides(self) -> Any:
-        """The all-default override object of this backend's param type."""
-
-    @abc.abstractmethod
-    def decode_overrides(self, d: dict) -> Any:
-        """Decode a ``to_dict`` store entry back to the param type."""
-
-    @abc.abstractmethod
-    def tuning_candidates(self, spec: Any) -> list:
-        """The search grid for ``spec`` (candidate 0 is the default)."""
-
-    @abc.abstractmethod
-    def modeled_total(self, sketch: "MatrixSketch", spec: Any,
-                      precision: "Precision | str", overrides: Any) -> float:
-        """Analytic objective on a sketch; ``inf`` when infeasible."""
-
-    @abc.abstractmethod
-    def tuning_algorithm(self, overrides: Any) -> Any:
-        """A fresh native algorithm instance carrying ``overrides`` (the
-        tuner's measurement vehicle)."""
+    # -- tuning ---------------------------------------------------------------
 
     def tuning_families(self, spec: Any) -> "tuple[TuningFamily, ...]":
         """All tunable families on ``spec``, primary family first.
 
-        The default wraps the five abstract hooks with the row-histogram
-        :func:`~repro.tune.sketch.sketch_matrix` -- bit-identical to the
-        pre-family tuner for every existing backend.  Backends hosting
-        additional algorithm families (the GPU's ``tile``) append them.
+        A backend with nothing to tune declares none (the default).
+        Family constructors import :mod:`repro.tune` lazily: the tune
+        package sits above :mod:`repro.base` in the import order.
         """
-        def _sketch(A: Any, B: Any) -> Any:
-            from repro.tune.sketch import sketch_matrix
-
-            return sketch_matrix(A, B)
-
-        return (TuningFamily(
-            family=self.name,
-            default_overrides=self.default_overrides,
-            decode_overrides=self.decode_overrides,
-            candidates=self.tuning_candidates,
-            modeled_total=self.modeled_total,
-            algorithm=self.tuning_algorithm,
-            sketch=_sketch,
-        ),)
+        return ()
 
     # -- presentation ---------------------------------------------------------
 

@@ -1,22 +1,19 @@
 """The CPU backend: multicore machines behind the abstraction.
 
-Scheduler and cost model come from :mod:`repro.cpu`; the tuning hooks
-search the CPU-native parameter space (:class:`~repro.cpu.params.
-CPUParams`: threads, block rows, bin count) -- a genuinely different
-grid from the GPU's Table I, which is the point of having a second
-backend.  The algorithm hooks import :mod:`repro.cpu.algorithms`
-lazily: that module derives from :mod:`repro.base`, which imports this
-package.
+Scheduler and cost model come from :mod:`repro.cpu`; the one tuning
+family searches the CPU-native parameter space (:class:`~repro.cpu.
+params.CPUParams`: threads, block rows, bin count) -- a genuinely
+different grid from the GPU's Table I, which is the point of having a
+second backend -- and owns the parameters of all three CPU leaves.  It
+imports :mod:`repro.cpu.algorithms` lazily: that module derives from
+:mod:`repro.base`, which imports this package.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
-from repro.backend.base import Backend
+from repro.backend.base import Backend, TuningFamily
 from repro.cpu.cost import kernel_duration_alone
 from repro.cpu.device import CPU_PRESETS, KNL64, CPUSpec
-from repro.cpu.params import CPUParams
 from repro.cpu.scheduler import simulate_cpu_phase
 
 #: Architecture efficiency factor on the bandwidth-based work weight:
@@ -45,29 +42,20 @@ class CPUBackend(Backend):
     def work_weight(self, spec: CPUSpec) -> float:
         return float(spec.mem_bandwidth_gbps) * CPU_WEIGHT_EFFICIENCY
 
-    # -- tuning hooks ---------------------------------------------------------
+    # -- tuning ---------------------------------------------------------------
 
-    def default_overrides(self) -> CPUParams:
-        return CPUParams()
-
-    def decode_overrides(self, d: dict) -> CPUParams:
-        return CPUParams.from_dict(d)
-
-    def tuning_candidates(self, spec: CPUSpec) -> list:
-        from repro.cpu.plan import candidate_space
-
-        return candidate_space(spec)
-
-    def modeled_total(self, sketch, spec: CPUSpec, precision,
-                      overrides: CPUParams) -> float:
-        from repro.cpu.plan import modeled_hash_total
-
-        return modeled_hash_total(sketch, spec, precision, overrides)
-
-    def tuning_algorithm(self, overrides: CPUParams) -> Any:
+    def tuning_families(self, spec: CPUSpec) -> tuple[TuningFamily, ...]:
+        """The CPU family: measured with ``hash-cpu``, whose
+        :class:`~repro.cpu.params.CPUParams` the heap and
+        propagation-blocking leaves share."""
         from repro.cpu.algorithms import HashCPUSpGEMM
+        from repro.cpu.plan import candidate_space, modeled_hash_total
+        from repro.tune.sketch import sketch_matrix
 
-        return HashCPUSpGEMM(params=overrides)
+        return (TuningFamily(family=self.name, leaf=HashCPUSpGEMM,
+                             candidates=candidate_space,
+                             modeled_total=modeled_hash_total,
+                             sketch=sketch_matrix),)
 
     # -- presentation ---------------------------------------------------------
 

@@ -7,13 +7,13 @@ staticmethods, not wrapped), and the presets are the same frozen
 :data:`~repro.gpu.device.DEVICE_PRESETS` objects -- so every schedule,
 plan-cache key and tuning-store entry produced through the backend is
 bit-identical to what the direct imports produced before the
-refactor.  The tuning hooks import :mod:`repro.tune` lazily: the tune
-package sits above :mod:`repro.base` in the import order.
+refactor.  Its two tuning families -- the proposal's Table I space and
+the tile family's -- are plain :class:`~repro.backend.base.TuningFamily`
+values, built with lazy imports: the algorithms and :mod:`repro.tune`
+sit above :mod:`repro.base` in the import order.
 """
 
 from __future__ import annotations
-
-from typing import Any
 
 from repro.backend.base import Backend, TuningFamily
 from repro.gpu.cost import kernel_duration_alone
@@ -37,59 +37,32 @@ class GPUBackend(Backend):
     simulate_phase = staticmethod(simulate_phase)
     kernel_duration_alone = staticmethod(kernel_duration_alone)
 
-    # -- tuning hooks ---------------------------------------------------------
-
-    def default_overrides(self) -> Any:
-        from repro.core.params import ParamOverrides
-
-        return ParamOverrides()
-
-    def decode_overrides(self, d: dict) -> Any:
-        from repro.core.params import ParamOverrides
-
-        return ParamOverrides.from_dict(d)
-
-    def tuning_candidates(self, spec: DeviceSpec) -> list:
-        """Table I grid crossed with the ``symbolic`` axis: every table
-        configuration is scored under both the exact counting pass and
-        the sampled estimator (:mod:`repro.estimate`), so a tuned config
-        can select ``symbolic='estimate'`` per matrix sketch."""
-        from repro.tune.tuner import candidate_space
-
-        return candidate_space(spec)
-
-    def modeled_total(self, sketch, spec: DeviceSpec, precision,
-                      overrides) -> float:
-        from repro.tune.tuner import modeled_total
-
-        return modeled_total(sketch, spec, precision, overrides)
-
-    def tuning_algorithm(self, overrides) -> Any:
-        from repro.core.spgemm import HashSpGEMM
-
-        return HashSpGEMM(overrides=overrides)
+    # -- tuning ---------------------------------------------------------------
 
     def tuning_families(self, spec: DeviceSpec) -> tuple[TuningFamily, ...]:
-        """The hash family (primary, = the five hooks above) plus the
-        tile family with its own param type, grid, tiled sketch and
-        objective.  Family selection is by override-type probing, so a
-        :class:`~repro.tile.algorithm.TileSpGEMM` inner lands on the
-        tile space and everything else keeps the Table I search."""
-        from repro.tile.algorithm import TileSpGEMM
-        from repro.tile.params import TileParams
-        from repro.tile.plan import (candidate_space, modeled_tile_total,
-                                     sketch_tiles)
+        """The hash proposal's Table I family (primary) and the tile
+        family, each with its own param type, grid, sketch and objective.
 
-        tile = TuningFamily(
-            family="tile",
-            default_overrides=TileParams,
-            decode_overrides=TileParams.from_dict,
-            candidates=candidate_space,
-            modeled_total=modeled_tile_total,
-            algorithm=lambda ov: TileSpGEMM(params=ov),
-            sketch=sketch_tiles,
+        The Table I grid is crossed with the ``symbolic`` axis: every
+        table configuration is scored under both the exact counting pass
+        and the sampled estimator (:mod:`repro.estimate`), so a tuned
+        config can select ``symbolic='estimate'`` per matrix sketch.
+        """
+        from repro.core.spgemm import HashSpGEMM
+        from repro.tile import plan as tile_plan
+        from repro.tile.algorithm import TileSpGEMM
+        from repro.tune.sketch import sketch_matrix
+        from repro.tune.tuner import candidate_space, modeled_total
+
+        return (
+            TuningFamily(family=self.name, leaf=HashSpGEMM,
+                         candidates=candidate_space,
+                         modeled_total=modeled_total, sketch=sketch_matrix),
+            TuningFamily(family="tile", leaf=TileSpGEMM,
+                         candidates=tile_plan.candidate_space,
+                         modeled_total=tile_plan.modeled_tile_total,
+                         sketch=tile_plan.sketch_tiles),
         )
-        return super().tuning_families(spec) + (tile,)
 
     # -- presentation ---------------------------------------------------------
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from repro.backend import backend_for_name, backend_for_spec
 from repro.errors import AlgorithmError, ReproError, ShapeMismatchError
@@ -300,11 +300,12 @@ class SpGEMMAlgorithm(abc.ABC):
     #: multiply handed a foreign spec coerces it via :meth:`_native_spec`
     backend_name: str = "gpu"
 
-    #: True when the algorithm can capture an :class:`repro.engine.plan.
-    #: SpGEMMPlan` on a cold run and replay it numeric-only (the plan
-    #: cache of :class:`repro.engine.SpGEMMEngine` only fronts such
-    #: algorithms; everything else passes through uncached).
-    supports_plan_cache: bool = False
+    #: the tunable parameter type of a leaf (``ParamOverrides``,
+    #: ``TileParams``, ``CPUParams``); ``None`` -- the baselines and every
+    #: wrapper -- has nothing to tune
+    param_type: type | None = None
+    #: the leaf's live parameters, an instance of :attr:`param_type`
+    params: Any = None
 
     @abc.abstractmethod
     def multiply(self, A: CSRMatrix, B: CSRMatrix, *,
@@ -321,16 +322,32 @@ class SpGEMMAlgorithm(abc.ABC):
         the run context guarantees no device allocation stays live.
         """
 
-    def apply_param_overrides(self, overrides) -> bool:
-        """Adopt tuned :class:`~repro.core.params.ParamOverrides`.
+    def apply_param_overrides(self, params: Any) -> bool:
+        """Adopt tuned parameters: the one tuning hook, defined here only.
 
-        Returns ``True`` when the algorithm (or a wrapped inner one)
-        consumed the overrides; the base implementation declines, so the
-        autotuner knows the baselines have no Table I parameter space to
-        tune.  Implementations must fold adopted overrides into their
-        plan-cache switches.
+        ``params`` is an instance of :attr:`param_type`; ``None``
+        restores the defaults.  Returns ``False`` and changes nothing
+        when this algorithm has no param type or ``params`` is a foreign
+        one (a CPU leaf handed the GPU's ``ParamOverrides``).  Leaves
+        fold :attr:`params` into their ``plan_switches()``, so adopted
+        parameters re-key the plan cache.
         """
-        return False
+        cls = self.param_type
+        if cls is None or not (params is None or isinstance(params, cls)):
+            return False
+        self.params = cls() if params is None else params
+        return True
+
+    def _init_params(self, params: Any) -> None:
+        """Constructor form of :meth:`apply_param_overrides`: also takes
+        the ``to_dict`` form, and a foreign param type raises instead of
+        being declined."""
+        if isinstance(params, dict):
+            params = self.param_type.from_dict(params)
+        if not self.apply_param_overrides(params):
+            raise AlgorithmError(
+                f"{self.name} takes {self.param_type.__name__} parameters, "
+                f"got {type(params).__name__}")
 
     # -- shared helpers ------------------------------------------------------
 
@@ -376,3 +393,15 @@ class SpGEMMAlgorithm(abc.ABC):
         return RunContext(self.name, matrix_name or "matrix", device,
                           precision, faults=faults,
                           numeric_only=numeric_only)
+
+
+def leaf_of(runner: SpGEMMAlgorithm) -> SpGEMMAlgorithm:
+    """The leaf algorithm at the bottom of a runner chain.
+
+    Every wrapper (tuner, engine, resilience ladder) holds the next
+    runner in ``.inner``, so the leaf -- the one object that owns tuned
+    parameters -- is what following ``.inner`` reaches.
+    """
+    while hasattr(runner, "inner"):
+        runner = runner.inner
+    return runner

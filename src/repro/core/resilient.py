@@ -176,6 +176,14 @@ class ResilientSpGEMM(SpGEMMAlgorithm):
     options:
         Keyword options forwarded to the *first* algorithm's constructor
         (the baselines take none).
+
+    The primary leaf is built once, here, and held in :attr:`inner` like
+    every wrapper's next runner, so a tuner reaches it by following
+    ``.inner`` and its tuned parameters persist across multiplies.
+    Fallback rungs build fresh leaves with default parameters on every
+    multiply: a tuned config is validated for the primary path, and a
+    degraded retry should not inherit an aggressive configuration on top
+    of a failure.
     """
 
     name = "resilient"
@@ -185,12 +193,14 @@ class ResilientSpGEMM(SpGEMMAlgorithm):
                  retry_budget_factor: float = 0.75,
                  initial_panels: int = 4, max_panels: int = 256,
                  **options) -> None:
+        from repro.baselines.registry import create  # avoid import cycle
+
         self.algorithms = tuple(algorithms)
         self.memory_budget = memory_budget
         self.retry_budget_factor = float(retry_budget_factor)
         self.initial_panels = max(2, int(initial_panels))
         self.max_panels = int(max_panels)
-        self.options = options
+        self.inner = create(self.algorithms[0], **options)
 
     # ------------------------------------------------------------------
 
@@ -199,29 +209,13 @@ class ResilientSpGEMM(SpGEMMAlgorithm):
         return device if budget >= device.global_mem_bytes \
             else device.with_memory(budget)
 
-    def _make(self, name: str, first: bool) -> SpGEMMAlgorithm:
-        from repro.baselines.registry import create  # avoid import cycle
-
-        return create(name, **(self.options if first else {}))
-
-    def apply_param_overrides(self, overrides) -> bool:
-        """Adopt tuned overrides for the *primary* algorithm only.
-
-        Fallback rungs keep the paper's defaults: a tuned config is
-        validated for the primary path, and a degraded retry should not
-        inherit an aggressive configuration on top of a failure.
-        """
-        if not self._make(self.algorithms[0], first=False) \
-                .apply_param_overrides(overrides):
-            return False
-        self.options = {**self.options, "overrides": overrides}
-        return True
-
     def multiply(self, A: CSRMatrix, B: CSRMatrix, *,
                  precision: Precision | str = Precision.DOUBLE,
                  device: DeviceSpec = P100,
                  matrix_name: str = "",
                  faults: FaultPlan | None = None) -> SpGEMMResult:
+        from repro.baselines.registry import create  # avoid import cycle
+
         A, B, p = self._prepare(A, B, precision)
         budget = min(self.memory_budget or device.global_mem_bytes,
                      device.global_mem_bytes)
@@ -229,8 +223,9 @@ class ResilientSpGEMM(SpGEMMAlgorithm):
         last_error: Exception | None = None
 
         for i, algo_name in enumerate(self.algorithms):
-            algo = self._make(algo_name, first=(i == 0))
-            for strategy, run_budget, panels in self._ladder(budget, A.n_rows):
+            algo = self.inner if i == 0 else create(algo_name)
+            for strategy, run_budget, panels in self.ladder_rungs(budget,
+                                                                  A.n_rows):
                 result, err = self._attempt(
                     algo, A, B, p, self._budget_device(device, run_budget),
                     matrix_name, faults, rep, strategy, run_budget, panels)
@@ -288,9 +283,6 @@ class ResilientSpGEMM(SpGEMMAlgorithm):
         while k <= min(self.max_panels, max(2, n_rows)):
             yield "panels", budget, k
             k *= 2
-
-    # backward-compatible private spelling
-    _ladder = ladder_rungs
 
     def _attempt(self, algo, A, B, p, device, matrix_name, faults, rep,
                  strategy, budget, panels):

@@ -59,7 +59,7 @@ class HashSpGEMM(SpGEMMAlgorithm):
     """The paper's SpGEMM (released by the authors as *nsparse*)."""
 
     name = "proposal"
-    supports_plan_cache = True
+    param_type = ParamOverrides
 
     def __init__(self, *, use_streams: bool = True, use_pwarp: bool = True,
                  pwarp_width: int = PWARP_WIDTH,
@@ -73,17 +73,15 @@ class HashSpGEMM(SpGEMMAlgorithm):
         self.use_pwarp = use_pwarp
         self.pwarp_width = pwarp_width
         self.uniform_tb = uniform_tb
-        if isinstance(overrides, dict):
-            overrides = ParamOverrides.from_dict(overrides)
-        self.overrides = overrides or ParamOverrides()
+        self._init_params(overrides)
         if symbolic not in SYMBOLIC_MODES:
             raise AlgorithmError(
                 f"unknown symbolic mode {symbolic!r} "
                 f"(expected one of {list(SYMBOLIC_MODES)})")
-        if self.overrides.symbolic is not None \
-                and self.overrides.symbolic not in SYMBOLIC_MODES:
+        if self.params.symbolic is not None \
+                and self.params.symbolic not in SYMBOLIC_MODES:
             raise AlgorithmError(
-                f"unknown symbolic mode {self.overrides.symbolic!r} "
+                f"unknown symbolic mode {self.params.symbolic!r} "
                 f"in overrides (expected one of {list(SYMBOLIC_MODES)})")
         self.symbolic = symbolic
         self.estimate_samples = int(estimate_samples)
@@ -93,12 +91,12 @@ class HashSpGEMM(SpGEMMAlgorithm):
     @property
     def effective_symbolic(self) -> str:
         """The symbolic mode after tuned overrides (overrides win)."""
-        return self.overrides.symbolic or self.symbolic
+        return self.params.symbolic or self.symbolic
 
     def exact_variant(self) -> "HashSpGEMM":
         """A copy forced to the exact symbolic phase (same everything
         else) -- the resilience ladder's estimate-downgrade target."""
-        overrides = self.overrides
+        overrides = self.params
         if overrides.symbolic is not None:
             overrides = dataclasses.replace(overrides, symbolic=None)
         return HashSpGEMM(use_streams=self.use_streams,
@@ -121,7 +119,7 @@ class HashSpGEMM(SpGEMMAlgorithm):
                     ("use_pwarp", self.use_pwarp),
                     ("pwarp_width", self.pwarp_width),
                     ("uniform_tb", self.uniform_tb),
-                    ("overrides", self.overrides.switches()),
+                    ("overrides", self.params.switches()),
                     ("symbolic", self.effective_symbolic))
         if self.effective_symbolic == "estimate":
             switches += (("estimate", (self.estimate_samples,
@@ -129,21 +127,11 @@ class HashSpGEMM(SpGEMMAlgorithm):
                                        self.estimate_seed)),)
         return switches
 
-    def apply_param_overrides(self, overrides: ParamOverrides) -> bool:
-        """Adopt tuned Table I parameters (the autotuner's injection
-        point); takes effect on the next multiply and on plan-cache keys
-        immediately.  Foreign override types (e.g. a CPU backend's
-        :class:`~repro.cpu.params.CPUParams`) are declined."""
-        if overrides is not None and not isinstance(overrides, ParamOverrides):
-            return False
-        self.overrides = overrides or ParamOverrides()
-        return True
-
     def _table(self, device: DeviceSpec):
         """The (possibly tuned) group table driving both phases."""
         return build_group_table(device, pwarp_width=self.pwarp_width,
                                  uniform_tb=self.uniform_tb,
-                                 overrides=self.overrides)
+                                 overrides=self.params)
 
     def _group(self, counts: np.ndarray, table, metric: str) -> GroupAssignment:
         """Group rows, optionally disabling PWARP/ROW (ablation E9): the

@@ -42,26 +42,12 @@ class _CPUAlgorithm(SpGEMMAlgorithm):
     """Shared skeleton: params handling, prologue, reporting."""
 
     backend_name = "cpu"
-    supports_plan_cache = False
+    param_type = CPUParams
 
     def __init__(self, *, use_streams: bool = True,
                  params: "CPUParams | dict | None" = None) -> None:
         self.use_streams = use_streams
-        if isinstance(params, dict):
-            params = CPUParams.from_dict(params)
-        self.params = params or CPUParams()
-
-    def apply_param_overrides(self, overrides) -> bool:
-        """Adopt tuned :class:`CPUParams`; a foreign override type (the
-        GPU's ``ParamOverrides``) is declined so a mixed-architecture
-        tuning pass cannot misconfigure a CPU algorithm."""
-        if overrides is None:
-            self.params = CPUParams()
-            return True
-        if not isinstance(overrides, CPUParams):
-            return False
-        self.params = overrides
-        return True
+        self._init_params(params)
 
     def multiply(self, A: CSRMatrix, B: CSRMatrix, *,
                  precision: Precision | str = Precision.DOUBLE,

@@ -48,7 +48,7 @@ clock and the phase breakdown are the same either way.
 
 from __future__ import annotations
 
-from repro.base import SpGEMMAlgorithm, SpGEMMResult
+from repro.base import SpGEMMAlgorithm, SpGEMMResult, leaf_of
 from repro.core.resilient import AttemptRecord, ResilienceReport
 from repro.dist.interconnect import Interconnect, parse_interconnect
 from repro.dist.partition import Partition, partition_rows
@@ -131,10 +131,11 @@ class DistSpGEMM(SpGEMMAlgorithm):
         Keep B resident across multiplies (pattern digest + value
         digest; a value-only change ships just the value array).
     tune / tune_store:
-        ``tune=True`` autotunes the Table I parameters *per device
+        ``tune=True`` autotunes each slot leaf's parameters *per device
         specification* before each compute wave -- a heterogeneous pool
         gets one search per distinct device, not one shared config --
-        and injects the winning overrides into every slot's runner.
+        and sets the winning parameters on every slot's leaf; a pool of
+        leaves with nothing to tune runs no search.
         ``tune_store`` is a :class:`~repro.tune.TuningStore` or a path;
         ``None`` keeps an in-memory store on this driver (repeat
         multiplies of the same pattern skip the search).
@@ -161,19 +162,6 @@ class DistSpGEMM(SpGEMMAlgorithm):
         self.last_partition: Partition | None = None
         self.multiplies = 0
         self.devices_lost = 0
-
-    def apply_param_overrides(self, overrides) -> bool:
-        """Externally-supplied overrides apply to every pool runner.
-
-        Only meaningful on homogeneous pools (one config for all
-        devices); ``tune=True`` is the per-device path.
-        """
-        pool = self._pool
-        if pool is None:
-            return False
-        applied = [s.runner.apply_param_overrides(overrides)
-                   for s in pool.slots]
-        return any(applied)
 
     # -- pool --------------------------------------------------------------
 
@@ -341,6 +329,9 @@ class DistSpGEMM(SpGEMMAlgorithm):
                       active: list[DeviceSlot], clk: _DriverClock) -> None:
         """Autotune once per distinct device spec; apply to every slot.
 
+        Each slot's leaf (:func:`~repro.base.leaf_of` its runner) is
+        tuned in its own family (:func:`~repro.tune.tuner.
+        tuning_family`), the same choice the single-device tuner makes.
         A heterogeneous pool runs one search per distinct device (the
         K40's winning config is not the VEGA56's); slots sharing a spec
         share the result.  Search probes run on the driver host against
@@ -348,20 +339,25 @@ class DistSpGEMM(SpGEMMAlgorithm):
         events land on the timeline.
         """
         from repro.tune.store import TuningStore
-        from repro.tune.tuner import Autotuner
+        from repro.tune.tuner import Autotuner, TuneResult, tuning_family
 
         store = self._tune_store
         if store is None or isinstance(store, str):
             store = TuningStore(store)
             self._tune_store = store
 
-        by_spec: dict[str, object] = {}
+        by_spec: dict[tuple[str, str], TuneResult] = {}
         for slot in active:
             spec = slot.spec
-            res = by_spec.get(spec.name)
+            leaf = leaf_of(slot.runner)
+            family = tuning_family(leaf, spec)
+            if family is None:
+                continue
+            res = by_spec.get((spec.name, family.family))
             if res is None:
-                res = Autotuner(spec, p, store=store).tune(A, B)
-                by_spec[spec.name] = res
+                res = Autotuner(spec, p, store=store,
+                                family=family).tune(A, B)
+                by_spec[(spec.name, family.family)] = res
                 if res.from_cache:
                     clk.emit(OBS.TUNE_HIT, res.digest, device=spec.name,
                              speedup=res.speedup)
@@ -372,10 +368,10 @@ class DistSpGEMM(SpGEMMAlgorithm):
                              measured=res.measured,
                              default_us=res.default_seconds * 1e6,
                              tuned_us=res.tuned_seconds * 1e6)
-            if slot.runner.apply_param_overrides(res.overrides):
-                clk.emit(OBS.TUNE_APPLY, res.digest, device=slot.device_id,
-                         overrides=res.overrides.describe(),
-                         speedup=res.speedup, validated=res.validated)
+            leaf.apply_param_overrides(res.overrides)
+            clk.emit(OBS.TUNE_APPLY, res.digest, device=slot.device_id,
+                     overrides=res.overrides.describe(),
+                     speedup=res.speedup, validated=res.validated)
 
     def _broadcast(self, B: CSRMatrix, p: Precision,
                    active: list[DeviceSlot], clk: _DriverClock,

@@ -65,9 +65,9 @@ class SpGEMMEngine(SpGEMMAlgorithm):
     ----------
     algorithm:
         Inner algorithm: a registry name or a ready instance.  Only
-        algorithms with ``supports_plan_cache`` (the proposal) are
-        cached; others pass through so the engine stays a universal
-        front.
+        algorithms that define ``multiply_planned`` (the proposal and
+        ``tile``) are cached; others pass through so the engine stays a
+        universal front.
     cache_budget_bytes:
         Device-memory budget of the plan cache (LRU eviction).
     max_workers:
@@ -94,16 +94,13 @@ class SpGEMMEngine(SpGEMMAlgorithm):
         self.passthrough_runs = 0
         self.batch_jobs = 0
 
-    def apply_param_overrides(self, overrides) -> bool:
-        """Forward tuned overrides to the inner algorithm.
-
-        No cache flush is needed: the inner algorithm folds its overrides
-        into ``plan_switches()``, so :func:`~repro.engine.plan.make_key`
-        keys tuned and untuned plans apart automatically.
-        """
-        return self.inner.apply_param_overrides(overrides)
-
     # -- the cached multiply -------------------------------------------------
+
+    @property
+    def cacheable(self) -> bool:
+        """True when the inner runner can replay a captured plan (it
+        defines ``multiply_planned``); the engine caches nothing else."""
+        return hasattr(self.inner, "multiply_planned")
 
     def multiply(self, A: CSRMatrix, B: CSRMatrix, *,
                  precision: Precision | str = Precision.DOUBLE,
@@ -117,7 +114,7 @@ class SpGEMMEngine(SpGEMMAlgorithm):
         dodge the very failure the caller asked for.
         """
         A, B, p = self._prepare(A, B, precision)
-        cacheable = faults is None and self.inner.supports_plan_cache
+        cacheable = faults is None and self.cacheable
         if not cacheable:
             self.passthrough_runs += 1
             return self.inner.multiply(A, B, precision=p, device=device,
@@ -239,7 +236,7 @@ class SpGEMMEngine(SpGEMMAlgorithm):
         all; one that cannot passes every multiply through.
         """
         s = self.cache.stats
-        cache = ("plan cache on" if self.inner.supports_plan_cache else
+        cache = ("plan cache on" if self.cacheable else
                  "no plan cache: every run passes through")
         lines = [
             f"engine: {self.inner.name} ({cache})",

@@ -28,7 +28,7 @@ from repro.gpu.kernel import BlockWorks, KernelLaunch, WorkEstimate
 from repro.gpu.memory import DeviceMemory
 from repro.gpu.occupancy import Occupancy, occupancy_for
 from repro.gpu.scheduler import simulate_phase
-from repro.gpu.timeline import KernelRecord, PhaseRecord, SimReport
+from repro.gpu.timeline import KernelRecord, SimReport
 
 __all__ = [
     "P100",
@@ -40,7 +40,6 @@ __all__ = [
     "KernelLaunch",
     "KernelRecord",
     "Occupancy",
-    "PhaseRecord",
     "SimReport",
     "WorkEstimate",
     "occupancy_for",

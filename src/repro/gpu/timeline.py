@@ -42,21 +42,6 @@ class KernelRecord:
 
 
 @dataclass
-class PhaseRecord:
-    """One sequential phase of a run: its kernels and its wall-clock span."""
-
-    name: str
-    start: float
-    end: float
-    kernels: list[KernelRecord] = field(default_factory=list)
-
-    @property
-    def duration(self) -> float:
-        """Seconds spent in this phase."""
-        return self.end - self.start
-
-
-@dataclass
 class SimReport:
     """Complete simulated outcome of one SpGEMM run.
 

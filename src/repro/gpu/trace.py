@@ -63,32 +63,3 @@ def render_timeline(kernels: list[KernelRecord], *,
                  f"total {span * 1e6:.1f} us")
     return "\n".join(lines)
 
-
-def stream_utilization(kernels: list[KernelRecord]) -> dict[int, float]:
-    """Fraction of the phase span each stream spends busy."""
-    if not kernels:
-        return {}
-    t0 = min(k.start for k in kernels)
-    t1 = max(k.end for k in kernels)
-    span = max(t1 - t0, 1e-12)
-    out: dict[int, float] = {}
-    for k in kernels:
-        out[k.stream] = out.get(k.stream, 0.0) + k.duration / span
-    return out
-
-
-def concurrency_profile(kernels: list[KernelRecord],
-                        samples: int = 200) -> list[int]:
-    """Number of concurrently-running kernels at ``samples`` uniform time
-    points (the quantity the stream ablation changes)."""
-    if not kernels:
-        return []
-    t0 = min(k.start for k in kernels)
-    t1 = max(k.end for k in kernels)
-    if t1 <= t0:
-        return [len(kernels)]
-    out = []
-    for i in range(samples):
-        t = t0 + (t1 - t0) * (i + 0.5) / samples
-        out.append(sum(1 for k in kernels if k.start <= t < k.end))
-    return out

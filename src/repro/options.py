@@ -85,8 +85,9 @@ class SpGEMMOptions:
         ``engine=False``), sized by ``cache_budget_bytes``; the ladder
         fields do not compose with it.
     tune / tune_store / tune_top_k
-        ``tune=True`` autotunes the proposal's Table I parameters per
-        device before running; ``tune_store`` (a
+        ``tune=True`` autotunes the leaf's parameters per device before
+        running (Table I for the proposal; ``tile`` and the CPU leaves
+        have their own families, the baselines none); ``tune_store`` (a
         :class:`~repro.tune.TuningStore` or a path) persists tuned
         configs across processes.  A distributed run searches with the
         default ``tune_top_k``.

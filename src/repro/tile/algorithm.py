@@ -93,31 +93,18 @@ class TileSpGEMM(SpGEMMAlgorithm):
     """TileSpGEMM-style 2-D tiled SpGEMM (Niu et al. family)."""
 
     name = "tile"
-    supports_plan_cache = True
+    param_type = TileParams
 
     def __init__(self, *, use_streams: bool = True,
                  params: "TileParams | dict | None" = None) -> None:
         self.use_streams = use_streams
-        if isinstance(params, dict):
-            params = TileParams.from_dict(params)
-        self.params = params or TileParams()
+        self._init_params(params)
 
     def plan_switches(self) -> tuple:
         """Configuration folded into plan-cache keys: the tile edge and
         accumulator cutoffs change the captured kernels."""
         return (("params", self.params.switches()),
                 ("use_streams", self.use_streams))
-
-    def apply_param_overrides(self, overrides) -> bool:
-        """Adopt tuned :class:`TileParams` (the tile tuning family's
-        injection point); foreign override types -- the hash family's
-        ``ParamOverrides``, the CPU backend's ``CPUParams`` -- are
-        declined, which is how the family-probing tuner seam routes each
-        algorithm to its own search space."""
-        if overrides is not None and not isinstance(overrides, TileParams):
-            return False
-        self.params = overrides or TileParams()
-        return True
 
     # -- cold run ----------------------------------------------------------
 

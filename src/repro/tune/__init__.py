@@ -18,9 +18,12 @@ machinery as the objective:
 * :mod:`repro.tune.store` -- a persistent JSON store of tuned configs
   keyed by ``(device, precision, sketch digest)``;
 * :mod:`repro.tune.tuned` -- :class:`TunedSpGEMM`, what ``tune=True``
-  on the options facade builds: a wrapper that tunes, injects the winning
-  :class:`~repro.core.params.ParamOverrides` into the inner algorithm
-  and annotates the run report with ``tune_*`` events.
+  on the options facade builds: a wrapper that tunes, sets the winning
+  parameters on its runner chain's leaf and annotates the run report
+  with ``tune_*`` events.
+
+A leaf's family is chosen in one place, :func:`~repro.tune.tuner.
+tuning_family`, which the wrapper and the ``dist`` driver both call.
 """
 
 from repro.tune.sketch import MatrixSketch, sketch_matrix

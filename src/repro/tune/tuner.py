@@ -27,6 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.backend import backend_for_spec
+from repro.backend.base import TuningFamily
+from repro.base import SpGEMMAlgorithm
 from repro.core.grouping import group_rows
 from repro.core.numeric import plan_numeric
 from repro.core.params import ParamOverrides, build_group_table, pow2_floor
@@ -215,31 +218,57 @@ def modeled_total(sketch: MatrixSketch, device: DeviceSpec,
     return total
 
 
+def tuning_family(leaf: SpGEMMAlgorithm,
+                  device: DeviceSpec) -> TuningFamily | None:
+    """The :class:`~repro.backend.base.TuningFamily` that owns ``leaf``'s
+    parameters on ``device``, or ``None`` when the leaf is not tunable
+    there.
+
+    A leaf belongs to the device backend's family sharing its
+    :attr:`~repro.base.SpGEMMAlgorithm.param_type`: a hash leaf lands
+    on the Table I space, a tile leaf on the tile space, any CPU leaf on
+    the CPU space; a baseline (no param type) or a leaf of another
+    backend matches none.  The tuning wrapper and the dist driver both
+    choose through here.
+    """
+    if leaf.param_type is None:
+        return None
+    return next((fam for fam in backend_for_spec(device).tuning_families(device)
+                 if fam.param_type is leaf.param_type), None)
+
+
 class Autotuner:
     """Searches one backend's parameter space for ``(matrix, device,
     precision)``.
 
     A :class:`~repro.backend.base.TuningFamily` supplies the search
-    grid, the sketch builder, the sketch objective, the measurement
-    algorithm and the override codec, so GPU Table I searches, CPU
-    thread/block searches and the tile family's density-cutoff search
-    share this one driver.  ``family=None`` selects the device backend's
-    primary family (its five tuning hooks) -- bit-identical to the
-    pre-family tuner.  ``store`` (a :class:`~repro.tune.store.
-    TuningStore`) short-circuits repeat instances; ``None`` tunes from
-    scratch every call.  Families namespace their sketch digests, so one
-    store serves all of them without key collisions.
+    grid, the sketch builder, the sketch objective and the measurement
+    leaf, whose param type decodes stored entries, so GPU Table I
+    searches, CPU thread/block searches and the tile family's
+    density-cutoff search share this one driver.  ``family=None``
+    selects the device backend's primary family (Table I on a GPU); a
+    backend that declares none raises :class:`~repro.errors.
+    DeviceConfigError`.
+    ``store`` (a :class:`~repro.tune.store.TuningStore`) short-circuits
+    repeat instances; ``None`` tunes from scratch every call.  Families
+    namespace their sketch digests, so one store serves all of them
+    without key collisions.
     """
 
     def __init__(self, device: DeviceSpec, precision: Precision | str, *,
                  store: TuningStore | None = None,
                  top_k: int = DEFAULT_TOP_K,
-                 family=None) -> None:
-        from repro.backend import backend_for_spec
-
+                 family: TuningFamily | None = None) -> None:
         self.device = device
         self.backend = backend_for_spec(device)
-        self.family = family or self.backend.tuning_families(device)[0]
+        if family is None:
+            families = self.backend.tuning_families(device)
+            if not families:
+                raise DeviceConfigError(
+                    f"backend {self.backend.name!r} declares no tuning "
+                    f"families: {device.name} has nothing to tune")
+            family = families[0]
+        self.family = family
         self.precision = Precision.parse(precision)
         self.store = store
         self.top_k = max(1, int(top_k))
@@ -248,7 +277,8 @@ class Autotuner:
                  matrix_name: str):
         """One real multiply under ``ov``; ``(seconds, result)`` or
         ``(inf, None)`` when the config cannot run at all."""
-        algo = self.family.algorithm(ov)
+        algo = self.family.leaf()
+        algo.apply_param_overrides(ov)
         try:
             res = algo.multiply(A, B, precision=self.precision,
                                 device=self.device, matrix_name=matrix_name)
@@ -266,9 +296,9 @@ class Autotuner:
                                    digest)
             if entry is not None:
                 return TuneResult.from_entry(entry, digest,
-                                             self.family.decode_overrides)
+                                             self.family.param_type.from_dict)
 
-        default_ov = self.family.default_overrides()
+        default_ov = self.family.param_type()
         candidates = self.family.candidates(self.device)
         scored = [(self.family.modeled_total(sketch, self.device,
                                              self.precision, ov), ov)

@@ -71,23 +71,18 @@ class TestRegistry:
             presets = {"DUPE1": KNL64}
             algorithms = ()
 
-            def default_overrides(self):
-                return None
-
-            def decode_overrides(self, d):
-                return None
-
-            def tuning_candidates(self, spec):
-                return []
-
-            def modeled_total(self, sketch, spec, precision, overrides):
-                return 0.0
-
-            def tuning_algorithm(self, overrides):
-                return None
-
         with pytest.raises(DeviceConfigError):
             register_backend(Dupe())
+
+    def test_backend_without_families_is_not_tunable(self, monkeypatch):
+        from repro.backend import GPU_BACKEND
+        from repro.tune import Autotuner
+        from repro.tune.tuner import tuning_family
+
+        monkeypatch.setattr(GPU_BACKEND, "tuning_families", lambda spec: ())
+        assert tuning_family(repro.HashSpGEMM(), P100) is None
+        with pytest.raises(DeviceConfigError, match="no tuning families"):
+            Autotuner(P100, "double")
 
 
 class TestResolveDevice:

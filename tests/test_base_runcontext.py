@@ -7,7 +7,7 @@ from repro.base import RunContext, SpGEMMAlgorithm
 from repro.errors import DeviceMemoryError, ShapeMismatchError
 from repro.gpu.device import P100
 from repro.gpu.kernel import BlockWorks, KernelLaunch
-from repro.gpu.timeline import PHASES, KernelRecord, PhaseRecord, SimReport
+from repro.gpu.timeline import PHASES, KernelRecord, SimReport
 from repro.types import Precision
 
 
@@ -103,10 +103,6 @@ class TestTimelineRecords:
         r = KernelRecord(name="k", phase="calc", stream=1, start=1.0,
                          end=3.0, n_blocks=4, block_seconds=5.0)
         assert r.duration == 2.0
-
-    def test_phase_record(self):
-        p = PhaseRecord(name="count", start=0.0, end=2.0)
-        assert p.duration == 2.0
 
     def test_simreport_gflops_zero_guard(self):
         r = SimReport(algorithm="a", matrix="m", precision="single",

@@ -5,7 +5,7 @@ import pytest
 
 from repro.cli import main
 from repro.gpu.timeline import KernelRecord
-from repro.gpu.trace import concurrency_profile, render_timeline, stream_utilization
+from repro.gpu.trace import render_timeline
 
 
 def rec(name, stream, start, end):
@@ -33,21 +33,6 @@ class TestTrace:
         text = render_timeline([rec("tiny", 0, 0.0, 1e-9),
                                 rec("long", 0, 0.0, 1.0)], width=30)
         assert "=" in text.splitlines()[0]
-
-    def test_stream_utilization(self):
-        util = stream_utilization([rec("a", 1, 0.0, 0.6),
-                                   rec("b", 2, 0.0, 1.0)])
-        assert util[1] == pytest.approx(0.6)
-        assert util[2] == pytest.approx(1.0)
-
-    def test_concurrency_profile(self):
-        prof = concurrency_profile([rec("a", 1, 0.0, 1.0),
-                                    rec("b", 2, 0.0, 0.5)], samples=10)
-        assert max(prof) == 2
-        assert min(prof) == 1
-
-    def test_concurrency_empty(self):
-        assert concurrency_profile([]) == []
 
     def test_same_name_across_streams_keeps_rows_attached(self):
         """Regression: two kernels sharing a name on different streams

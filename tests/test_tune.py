@@ -196,14 +196,18 @@ def test_overrides_partition_plan_cache_keys(A):
 
 
 def test_apply_param_overrides_protocol(A):
+    from repro.base import leaf_of
     from repro.baselines.registry import create
     from repro.engine import SpGEMMEngine
 
     assert HashSpGEMM().apply_param_overrides(ParamOverrides())
     assert not create("cusparse").apply_param_overrides(ParamOverrides())
+    # the hook is the leaf's alone: a wrapper chain is walked via .inner
     eng = SpGEMMEngine()
-    assert eng.apply_param_overrides(ParamOverrides(t_max=1024))
-    assert eng.inner.overrides.t_max == 1024
+    assert not eng.apply_param_overrides(ParamOverrides(t_max=1024))
+    assert leaf_of(eng) is eng.inner
+    assert leaf_of(eng).apply_param_overrides(ParamOverrides(t_max=1024))
+    assert eng.inner.params.t_max == 1024
 
 
 # -- the registry wrapper ---------------------------------------------------
@@ -233,6 +237,23 @@ def test_tuned_untunable_inner_passes_through(A):
     miss = [e for e in res.report.events if e.kind == E.TUNE_MISS]
     assert miss and miss[0].attrs["reason"] == "inner not tunable"
     assert not any(e.kind == E.TUNE_APPLY for e in res.report.events)
+
+
+def test_cli_prints_the_parameters_the_run_applied(capsys):
+    """The ``tuned parameters`` line reads the leaf, so the wrappers that
+    ``--repeat`` (engine) and ``--resilient`` (ladder) add in front of
+    it do not turn it back to the defaults."""
+    from repro.cli import main
+
+    lines = []
+    for flags in ([], ["--repeat", "2"], ["--resilient"]):
+        assert main(["multiply", "--generate", "powerlaw:3000:8", "--tune",
+                     "--device", "K40", *flags]) == 0
+        out = capsys.readouterr().out
+        lines += [ln for ln in out.splitlines()
+                  if ln.startswith("tuned parameters")]
+    assert len(lines) == 3 and len(set(lines)) == 1
+    assert not lines[0].endswith(": default")
 
 
 # -- distributed per-device tuning ------------------------------------------
