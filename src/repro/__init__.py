@@ -29,7 +29,7 @@ from repro.core.params import ParamOverrides, build_group_table
 from repro.core.resilient import ResilienceReport, ResilientSpGEMM
 from repro.core.spgemm import HashSpGEMM
 from repro.dist import DevicePool, DistSpGEMM, Interconnect
-from repro.engine import BatchJob, SpGEMMEngine, SpGEMMPlan
+from repro.engine import SpGEMMEngine, SpGEMMPlan
 from repro.errors import (
     AlgorithmError,
     CircuitOpenError,
@@ -77,7 +77,6 @@ __version__ = "1.0.0"
 __all__ = [
     "Autotuner",
     "Backend",
-    "BatchJob",
     "COOMatrix",
     "CPUParams",
     "CPUSpec",

@@ -6,6 +6,13 @@ the simulated clock, the device-memory allocator, the phase breakdown and
 the kernel records.  The context enforces a uniform accounting discipline:
 *all* device time comes from the scheduler or the malloc model, and *all*
 device memory goes through the tracked allocator.
+
+Every leaf algorithm has one run, :meth:`SpGEMMAlgorithm._run`: it owns
+the precision cast, the native device, the run context, the resident
+inputs, the product with its row statistics (computed once) and the
+report, so a leaf supplies only its cost plan (:meth:`SpGEMMAlgorithm.
+_cost_plan`).  A plan-cache replay takes the same run with a cached
+plan in place of the cost plan.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from repro.gpu.timeline import PHASES, KernelRecord, SimReport
 from repro.obs import events as OBS
 from repro.obs.events import Event, EventBus
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.product import ProductResult, product_for
 from repro.types import Precision
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -297,7 +305,7 @@ class SpGEMMAlgorithm(abc.ABC):
     name: str = "abstract"
 
     #: registry name of the hardware backend this algorithm targets; a
-    #: multiply handed a foreign spec coerces it via :meth:`_native_spec`
+    #: leaf run handed a foreign spec runs on this backend's default
     backend_name: str = "gpu"
 
     #: the tunable parameter type of a leaf (``ParamOverrides``,
@@ -349,21 +357,78 @@ class SpGEMMAlgorithm(abc.ABC):
                 f"{self.name} takes {self.param_type.__name__} parameters, "
                 f"got {type(params).__name__}")
 
-    # -- shared helpers ------------------------------------------------------
+    # -- the one leaf run ----------------------------------------------------
 
-    def _native_spec(self, device: DeviceSpec):
-        """Coerce ``device`` onto this algorithm's own backend.
+    def _run(self, A: CSRMatrix, B: CSRMatrix, precision: Precision | str,
+             device: DeviceSpec, matrix_name: str, faults: FaultPlan | None,
+             *, plan=None, capture=None) -> SpGEMMResult:
+        """One leaf run, cold or replayed: every leaf's ``multiply`` and
+        ``multiply_planned`` is this call.
 
-        A registry-wide sweep (or a cross-architecture fallback chain)
-        may hand a GPU spec to a CPU algorithm and vice versa; the
-        algorithm then runs on its backend's default preset instead of
-        mis-costing foreign hardware.  Native specs pass through
-        untouched.
+        Casts the operands to the run precision, coerces ``device`` onto
+        the leaf's backend and accounts the resident inputs.  Cold, it
+        computes the product and its row statistics once and hands them
+        to :meth:`_cost_plan`; a ``capture`` (a :class:`repro.engine.
+        plan.PlanCapture`) then records what the leaf returned as a plan.
+        Given a cached ``plan`` it replays the plan instead, on a
+        ``numeric_only`` context.
         """
+        A, B, p = self._prepare(A, B, precision)
         backend = backend_for_name(self.backend_name)
-        if isinstance(device, backend.spec_type):
-            return device
-        return backend.default_preset
+        if not isinstance(device, backend.spec_type):
+            # a registry-wide sweep or a cross-architecture fallback may
+            # hand over a foreign spec: run on this backend's default
+            device = backend.default_preset
+        if plan is None:
+            ctx = self.context(matrix_name, device, p, faults)
+        else:
+            plan.validate(A, B)
+            ctx = self.context(matrix_name, device, p, faults,
+                               numeric_only=True)
+        with ctx:
+            if plan is not None:
+                ctx.emit(OBS.CACHE_HIT, plan.key.label(), algorithm=self.name,
+                         saved_seconds=plan.symbolic_seconds,
+                         plan_bytes=plan.device_bytes())
+            # input matrices are resident before the measured region
+            ctx.alloc_resident("A", A.device_bytes(p))
+            if B is not A:
+                ctx.alloc_resident("B", B.device_bytes(p))
+            if plan is not None:
+                C = plan.replay(ctx, A, B, use_streams=self.use_streams)
+            else:
+                prod = product_for(A, B, p)
+                ctx.note_stats(n_products=prod.n_products,
+                               nnz_out=prod.nnz_out)
+                replay = self._cost_plan(ctx, A, B, prod)
+                if capture is not None:
+                    capture.record(ctx, prod, **replay)
+                C = prod.C
+            return SpGEMMResult(matrix=C, report=ctx.report())
+
+    def _cost_plan(self, ctx: RunContext, A: CSRMatrix, B: CSRMatrix,
+                   prod: ProductResult) -> dict | None:
+        """Charge one cold run's allocations, kernels and host syncs.
+
+        ``prod`` holds ``C`` in the run precision and the row statistics
+        every cost model reads; the inputs are already resident.  A leaf
+        the engine can cache returns what a replay charges -- the
+        ``calc_kernels``, the working buffer's ``work_name`` (``None``:
+        no buffer) and ``work_bytes``, a ``records`` thunk building the
+        re-emitted grouping and table records, and the ``aux_bytes`` it
+        keeps device-resident beside the output structure -- as keyword
+        arguments of :meth:`repro.engine.plan.PlanCapture.record`.
+        """
+        raise NotImplementedError
+
+    def context(self, matrix_name: str, device: DeviceSpec,
+                precision: Precision,
+                faults: FaultPlan | None = None, *,
+                numeric_only: bool = False) -> RunContext:
+        """Fresh accounting context for one run."""
+        return RunContext(self.name, matrix_name or "matrix", device,
+                          precision, faults=faults,
+                          numeric_only=numeric_only)
 
     @staticmethod
     def _prepare(A: CSRMatrix, B: CSRMatrix,
@@ -384,15 +449,6 @@ class SpGEMMAlgorithm(abc.ABC):
         elif B.dtype != p.value_dtype:
             B = B.astype(p)
         return A, B, p
-
-    def context(self, matrix_name: str, device: DeviceSpec,
-                precision: Precision,
-                faults: FaultPlan | None = None, *,
-                numeric_only: bool = False) -> RunContext:
-        """Fresh accounting context for one run."""
-        return RunContext(self.name, matrix_name or "matrix", device,
-                          precision, faults=faults,
-                          numeric_only=numeric_only)
 
 
 def leaf_of(runner: SpGEMMAlgorithm) -> SpGEMMAlgorithm:

@@ -27,7 +27,7 @@ from repro.gpu.device import P100, DeviceSpec
 from repro.gpu.faults import FaultPlan
 from repro.gpu.kernel import BlockWorks, KernelLaunch
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.product import product_for
+from repro.sparse.product import ProductResult
 from repro.types import Precision
 
 #: Upper-bound nnz boundary below which the per-thread heap method runs
@@ -205,24 +205,15 @@ class BHSparseSpGEMM(SpGEMMAlgorithm):
                  device: DeviceSpec = P100,
                  matrix_name: str = "",
                  faults: FaultPlan | None = None) -> SpGEMMResult:
-        A, B, p = self._prepare(A, B, precision)
-        device = self._native_spec(device)
-        with self.context(matrix_name, device, p, faults) as ctx:
-            return self._multiply(ctx, A, B, p, device)
+        return self._run(A, B, precision, device, matrix_name, faults)
 
-    def _multiply(self, ctx, A: CSRMatrix, B: CSRMatrix, p: Precision,
-                  device: DeviceSpec) -> SpGEMMResult:
+    def _cost_plan(self, ctx, A: CSRMatrix, B: CSRMatrix,
+                   prod: ProductResult) -> None:
+        p = ctx.precision
         entry = 4 + p.value_bytes
-
-        ctx.alloc_resident("A", A.device_bytes(p))
-        if B is not A:
-            ctx.alloc_resident("B", B.device_bytes(p))
-
-        row_products, C = product_for(A, B, p)
-        nprod = int(row_products.sum())
-        ctx.note_stats(n_products=nprod, nnz_out=C.nnz)
-        nnz_a_all = A.row_nnz().astype(np.float64)
-        nnz_out_all = C.row_nnz().astype(np.float64)
+        row_products = prod.row_products
+        nnz_a_all = prod.nnz_a.astype(np.float64)
+        nnz_out_all = prod.row_nnz.astype(np.float64)
         n_rows = A.n_rows
 
         # ---- upper bound + binning (bin sizes are read back to the host
@@ -256,7 +247,7 @@ class BHSparseSpGEMM(SpGEMMAlgorithm):
         kernels = []
         for sub in _sub_bins(bins.heap, upper, HEAP_LIMIT):
             kernels.append(_heap_kernel(nnz_a_all[sub], row_products[sub],
-                                        nnz_out_all[sub], p, device))
+                                        nnz_out_all[sub], p, ctx.device))
         for sub in _sub_bins(bins.esc, upper, ESC_LIMIT):
             kernels.append(_esc_kernel(nnz_a_all[sub], row_products[sub],
                                        nnz_out_all[sub], p))
@@ -267,7 +258,7 @@ class BHSparseSpGEMM(SpGEMMAlgorithm):
         ctx.run("calc", kernels, use_streams=False)
 
         # ---- compact the upper-bound allocation into final CSR ----
-        c_buf = ctx.alloc("C", C.device_bytes(p))
+        ctx.alloc("C", prod.C.device_bytes(p))
         compact = row_chunk_grid(
             {"gmem_coalesced_bytes": 2.0 * entry * nnz_out_all + 8.0,
              "flops": nnz_out_all},
@@ -278,6 +269,3 @@ class BHSparseSpGEMM(SpGEMMAlgorithm):
             ctx.free(merge_buf)
         for buf in (c_ub, d_bins, d_bound):
             ctx.free(buf)
-        _ = c_buf
-        report = ctx.report(n_products=nprod, nnz_out=C.nnz)
-        return SpGEMMResult(matrix=C, report=report)

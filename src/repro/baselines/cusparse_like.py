@@ -30,7 +30,7 @@ from repro.core.hashtable import expected_cas, expected_probes
 from repro.gpu.device import P100, DeviceSpec
 from repro.gpu.faults import FaultPlan
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.product import product_for
+from repro.sparse.product import ProductResult
 from repro.types import Precision, next_pow2_array
 
 #: Shared hash-table entries per row (warp) in the counting phase.
@@ -141,24 +141,16 @@ class CuSparseSpGEMM(SpGEMMAlgorithm):
                  device: DeviceSpec = P100,
                  matrix_name: str = "",
                  faults: FaultPlan | None = None) -> SpGEMMResult:
-        A, B, p = self._prepare(A, B, precision)
-        device = self._native_spec(device)
-        with self.context(matrix_name, device, p, faults) as ctx:
-            return self._multiply(ctx, A, B, p, device)
+        return self._run(A, B, precision, device, matrix_name, faults)
 
-    def _multiply(self, ctx, A: CSRMatrix, B: CSRMatrix, p: Precision,
-                  device: DeviceSpec) -> SpGEMMResult:
-        ctx.alloc_resident("A", A.device_bytes(p))
-        if B is not A:
-            ctx.alloc_resident("B", B.device_bytes(p))
-
-        row_products, C = product_for(A, B, p)
-        nprod = int(row_products.sum())
-        ctx.note_stats(n_products=nprod, nnz_out=C.nnz)
-        nnz_a = A.row_nnz().astype(np.float64)
-        nnz_out = C.row_nnz().astype(np.float64)
+    def _cost_plan(self, ctx, A: CSRMatrix, B: CSRMatrix,
+                   prod: ProductResult) -> None:
+        p = ctx.precision
+        row_products = prod.row_products
+        nnz_a = prod.nnz_a.astype(np.float64)
+        nnz_out = prod.row_nnz.astype(np.float64)
         n_rows = A.n_rows
-        block_threads = ROWS_PER_BLOCK * device.warp_size
+        block_threads = ROWS_PER_BLOCK * ctx.device.warp_size
 
         # ---- counting phase (global tables sized by products) ----
         d_nnz = ctx.alloc("row_nnz", 4 * (n_rows + 1))
@@ -179,8 +171,8 @@ class CuSparseSpGEMM(SpGEMMAlgorithm):
         # the numeric phase accumulates into a temporary value array before
         # the final compacted write ----
         ctx.host_sync("count")
-        c_buf = ctx.alloc("C", C.device_bytes(p))
-        c_tmp = ctx.alloc("C_compaction_index", C.nnz * 4)
+        ctx.alloc("C", prod.C.device_bytes(p))
+        c_tmp = ctx.alloc("C_compaction_index", prod.nnz_out * 4)
 
         # ---- numeric phase (global tables sized by 2 x nnz) ----
         entry = p.hash_entry_bytes
@@ -197,7 +189,3 @@ class CuSparseSpGEMM(SpGEMMAlgorithm):
             ctx.free(ws_buf)
         ctx.free(c_tmp)
         ctx.free(d_nnz)
-
-        _ = c_buf
-        report = ctx.report(n_products=nprod, nnz_out=C.nnz)
-        return SpGEMMResult(matrix=C, report=report)

@@ -27,7 +27,7 @@ from repro.core.count_products import count_products_kernel
 from repro.gpu.device import P100, DeviceSpec
 from repro.gpu.faults import FaultPlan
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.product import product_for
+from repro.sparse.product import ProductResult
 from repro.types import Precision
 
 #: Intermediate products per thread block in the element-parallel passes.
@@ -58,24 +58,14 @@ class ESCSpGEMM(SpGEMMAlgorithm):
                  device: DeviceSpec = P100,
                  matrix_name: str = "",
                  faults: FaultPlan | None = None) -> SpGEMMResult:
-        A, B, p = self._prepare(A, B, precision)
-        device = self._native_spec(device)
-        with self.context(matrix_name, device, p, faults) as ctx:
-            return self._multiply(ctx, A, B, p)
+        return self._run(A, B, precision, device, matrix_name, faults)
 
-    def _multiply(self, ctx, A: CSRMatrix, B: CSRMatrix,
-                  p: Precision) -> SpGEMMResult:
-        vb = p.value_bytes
+    def _cost_plan(self, ctx, A: CSRMatrix, B: CSRMatrix,
+                   prod: ProductResult) -> None:
+        vb = ctx.precision.value_bytes
         triple_bytes = 8 + vb                 # row (4) + col (4) + value
-
-        ctx.alloc_resident("A", A.device_bytes(p))
-        if B is not A:
-            ctx.alloc_resident("B", B.device_bytes(p))
-
-        row_products, C = product_for(A, B, p)
-        nprod = int(row_products.sum())
+        nprod, nnz_out = prod.n_products, prod.nnz_out
         nnz_a = A.nnz
-        ctx.note_stats(n_products=nprod, nnz_out=C.nnz)
 
         # ---- count products (sizes the expansion) ----
         ctx.run("count", [count_products_kernel(A, phase="count")])
@@ -124,16 +114,13 @@ class ESCSpGEMM(SpGEMMAlgorithm):
             {
                 "flops": 6.0 * nprod,
                 "gmem_coalesced_bytes": (2.0 * nprod * triple_bytes
-                                         + C.nnz * (8.0 + vb)),
+                                         + nnz_out * (8.0 + vb)),
             },
             n_blocks, "esc_contract", 256, phase="calc")
 
         # CUSP emits COO; the row array costs 4 extra bytes per nonzero
-        c_buf = ctx.alloc("C_coo", C.nnz * (8 + vb) + 4 * (A.n_rows + 1))
+        ctx.alloc("C_coo", nnz_out * (8 + vb) + 4 * (A.n_rows + 1))
         ctx.run("calc", [contract_kernel])
 
         ctx.free(pingpong)
         ctx.free(triples)
-        _ = c_buf
-        report = ctx.report(n_products=nprod, nnz_out=C.nnz)
-        return SpGEMMResult(matrix=C, report=report)

@@ -146,20 +146,6 @@ class Dataset:
         self._matrix = None
         self._stats = None
 
-    # -- scale factors for the full-scale memory model --------------------
-
-    def row_factor(self) -> float:
-        """rows(paper) / rows(instance)."""
-        return self.paper.rows / max(1, self.matrix().n_rows)
-
-    def product_factor(self) -> float:
-        """products(paper) / products(instance)."""
-        return self.paper.n_products / max(1, self.stats().n_products)
-
-    def nnz_out_factor(self) -> float:
-        """output-nnz(paper) / output-nnz(instance)."""
-        return self.paper.nnz_out / max(1, self.stats().nnz_out)
-
 
 def _make(name: str, category: str, note: str,
           build_fn: Callable[[], CSRMatrix]) -> Dataset:

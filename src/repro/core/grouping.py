@@ -37,10 +37,6 @@ class GroupAssignment:
         """Total rows partitioned."""
         return int(self.gids.shape[0])
 
-    def group_sizes(self) -> list[int]:
-        """Rows per group, indexed by gid."""
-        return [int(r.shape[0]) for r in self.rows_by_group]
-
     def nonempty(self) -> list[tuple[GroupParams, np.ndarray]]:
         """(params, row indices) for groups that actually contain rows."""
         return [(self.table[g], rows)

@@ -109,11 +109,6 @@ class HashTable:
                 else np.zeros(occ.shape[0]))
         return keys[order], vals
 
-    @property
-    def load_factor(self) -> float:
-        """Occupied fraction of the table."""
-        return self.count / self.size
-
 
 def simulate_insertions(keys: np.ndarray, size: int) -> tuple[int, int]:
     """Insert all ``keys`` into a fresh table; return ``(distinct, probes)``.

@@ -15,12 +15,14 @@ Three registry algorithms sharing one skeleton:
   L2-resident accumulator.  Highest peak memory (it materializes all
   products), best behavior when rows are long and hash tables spill.
 
-All three compute the functional result through the same cached
-:func:`~repro.sparse.product.product_for` as every GPU algorithm -- so
-they are bit-identical to the reference oracle by construction -- and
-drive the shared :class:`~repro.base.RunContext`, so the conservation
-laws hold and the typed event stream (grouping decisions, table stats,
-charges) has the same schema the observability layer already consumes.
+All three run through the shared leaf run of every GPU algorithm
+(:meth:`~repro.base.SpGEMMAlgorithm._run`), which computes the product
+and its row statistics once -- so they are bit-identical to the
+reference oracle by construction -- and drives the shared
+:class:`~repro.base.RunContext`, so the conservation laws hold and the
+typed event stream (grouping decisions, table stats, charges) has the
+same schema the observability layer already consumes.  Each supplies
+only its cost plan, after the setup-phase product count they share.
 """
 
 from __future__ import annotations
@@ -29,17 +31,17 @@ import numpy as np
 
 from repro.base import SpGEMMAlgorithm, SpGEMMResult
 from repro.cpu import plan as cplan
-from repro.cpu.device import KNL64, CPUSpec
+from repro.cpu.device import KNL64
 from repro.cpu.params import CPUParams
 from repro.gpu.faults import FaultPlan
 from repro.obs import events as OBS
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.product import product_for
+from repro.sparse.product import ProductResult
 from repro.types import Precision
 
 
 class _CPUAlgorithm(SpGEMMAlgorithm):
-    """Shared skeleton: params handling, prologue, reporting."""
+    """Shared skeleton: params handling and the product count."""
 
     backend_name = "cpu"
     param_type = CPUParams
@@ -53,37 +55,24 @@ class _CPUAlgorithm(SpGEMMAlgorithm):
                  precision: Precision | str = Precision.DOUBLE,
                  device=KNL64, matrix_name: str = "",
                  faults: FaultPlan | None = None) -> SpGEMMResult:
-        A, B, p = self._prepare(A, B, precision)
-        spec = self._native_spec(device)
-        with self.context(matrix_name, spec, p, faults) as ctx:
-            return self._multiply(ctx, A, B, p, spec)
+        return self._run(A, B, precision, device, matrix_name, faults)
 
     # -- shared pieces -------------------------------------------------------
 
-    def _prologue(self, ctx, A: CSRMatrix, B: CSRMatrix, p: Precision,
-                  spec: CPUSpec):
-        """Resident inputs, functional result, chunking decisions, and
-        the setup-phase product count shared by all three algorithms."""
+    def _count_products(self, ctx, A: CSRMatrix, prod: ProductResult):
+        """The chunking decisions and the setup-phase product count
+        shared by all three algorithms: ``(threads, block_rows, nnz_a,
+        d_products)``."""
         n_rows = A.n_rows
-        ctx.alloc_resident("A", A.device_bytes(p))
-        if B is not A:
-            ctx.alloc_resident("B", B.device_bytes(p))
-
-        row_products, C = product_for(A, B, p)
-        row_nnz = C.row_nnz().astype(np.int64)
-        n_products = int(row_products.sum())
-        ctx.note_stats(n_products=n_products, nnz_out=C.nnz)
-
-        threads = cplan.threads_for(spec, self.params)
-        block_rows = cplan.block_rows_for(spec, self.params, n_rows)
-        nnz_a = A.row_nnz().astype(np.float64)
+        threads = cplan.threads_for(ctx.device, self.params)
+        block_rows = cplan.block_rows_for(ctx.device, self.params, n_rows)
+        nnz_a = prod.nnz_a.astype(np.float64)
 
         d_products = ctx.alloc("row_products", 4 * n_rows, phase="setup")
         ctx.run("setup", [cplan.count_products_cpu_kernel(
             nnz_a, threads=threads, block_rows=block_rows)],
             use_streams=self.use_streams)
-        return (n_rows, nnz_a, row_products, row_nnz, C, n_products,
-                threads, block_rows, d_products)
+        return threads, block_rows, nnz_a, d_products
 
     @staticmethod
     def _rowblock_stats(assign: str, n_rows: int, block_rows: int,
@@ -117,9 +106,12 @@ class HashCPUSpGEMM(_CPUAlgorithm):
 
     name = "hash-cpu"
 
-    def _multiply(self, ctx, A, B, p: Precision, spec: CPUSpec) -> SpGEMMResult:
-        (n_rows, nnz_a, row_products, row_nnz, C, n_products,
-         threads, block_rows, d_products) = self._prologue(ctx, A, B, p, spec)
+    def _cost_plan(self, ctx, A: CSRMatrix, B: CSRMatrix,
+                   prod: ProductResult) -> None:
+        threads, block_rows, nnz_a, d_products = self._count_products(
+            ctx, A, prod)
+        n_rows, p, spec = A.n_rows, ctx.precision, ctx.device
+        row_products, row_nnz = prod.row_products, prod.row_nnz
 
         if ctx.observed:
             ctx.emit_each(OBS.GROUPING, "symbolic", self._rowblock_stats(
@@ -148,7 +140,7 @@ class HashCPUSpGEMM(_CPUAlgorithm):
 
         # -- allocate C after the host reads the total back ----
         ctx.host_sync("count")
-        c_buf = ctx.alloc("C", C.device_bytes(p), phase="malloc")
+        ctx.alloc("C", prod.C.device_bytes(p), phase="malloc")
 
         # -- calc: numeric pass on key+value tables ----
         if ctx.observed:
@@ -169,10 +161,6 @@ class HashCPUSpGEMM(_CPUAlgorithm):
 
         for buf in (num_tables, d_nnz, d_products):
             ctx.free(buf)
-        _ = c_buf  # stays live: peak accounting
-
-        report = ctx.report(n_products=n_products, nnz_out=C.nnz)
-        return SpGEMMResult(matrix=C, report=report)
 
 
 class HeapCPUSpGEMM(_CPUAlgorithm):
@@ -180,9 +168,12 @@ class HeapCPUSpGEMM(_CPUAlgorithm):
 
     name = "heap-cpu"
 
-    def _multiply(self, ctx, A, B, p: Precision, spec: CPUSpec) -> SpGEMMResult:
-        (n_rows, nnz_a, row_products, row_nnz, C, n_products,
-         threads, block_rows, d_products) = self._prologue(ctx, A, B, p, spec)
+    def _cost_plan(self, ctx, A: CSRMatrix, B: CSRMatrix,
+                   prod: ProductResult) -> None:
+        threads, block_rows, nnz_a, d_products = self._count_products(
+            ctx, A, prod)
+        n_rows, p, spec = A.n_rows, ctx.precision, ctx.device
+        row_products, row_nnz = prod.row_products, prod.row_nnz
 
         if ctx.observed:
             ctx.emit_each(OBS.GROUPING, "symbolic", self._rowblock_stats(
@@ -203,7 +194,7 @@ class HeapCPUSpGEMM(_CPUAlgorithm):
             use_streams=self.use_streams)
 
         ctx.host_sync("count")
-        c_buf = ctx.alloc("C", C.device_bytes(p), phase="malloc")
+        ctx.alloc("C", prod.C.device_bytes(p), phase="malloc")
 
         # -- calc: numeric merge ----
         if ctx.observed:
@@ -217,10 +208,6 @@ class HeapCPUSpGEMM(_CPUAlgorithm):
 
         for buf in (heaps, d_nnz, d_products):
             ctx.free(buf)
-        _ = c_buf  # stays live: peak accounting
-
-        report = ctx.report(n_products=n_products, nnz_out=C.nnz)
-        return SpGEMMResult(matrix=C, report=report)
 
 
 class PropBlockSpGEMM(_CPUAlgorithm):
@@ -228,9 +215,12 @@ class PropBlockSpGEMM(_CPUAlgorithm):
 
     name = "propblock"
 
-    def _multiply(self, ctx, A, B, p: Precision, spec: CPUSpec) -> SpGEMMResult:
-        (n_rows, nnz_a, row_products, row_nnz, C, n_products,
-         threads, block_rows, d_products) = self._prologue(ctx, A, B, p, spec)
+    def _cost_plan(self, ctx, A: CSRMatrix, B: CSRMatrix,
+                   prod: ProductResult) -> None:
+        threads, block_rows, nnz_a, d_products = self._count_products(
+            ctx, A, prod)
+        n_rows, p, spec = A.n_rows, ctx.precision, ctx.device
+        row_products, n_products, C = prod.row_products, prod.n_products, prod.C
 
         vb = p.value_dtype.itemsize
         bins = cplan.bins_for(spec, self.params, n_products, vb)
@@ -257,7 +247,7 @@ class PropBlockSpGEMM(_CPUAlgorithm):
             use_streams=self.use_streams)
 
         ctx.host_sync("count")
-        c_buf = ctx.alloc("C", C.device_bytes(p), phase="malloc")
+        ctx.alloc("C", prod.C.device_bytes(p), phase="malloc")
 
         # -- calc (phase 2): merge each bin with a dense accumulator ----
         # per-bin load from the functional result's column distribution;
@@ -288,7 +278,3 @@ class PropBlockSpGEMM(_CPUAlgorithm):
 
         for buf in (accums, bin_bufs, d_nnz, d_products):
             ctx.free(buf)
-        _ = c_buf  # stays live: peak accounting
-
-        report = ctx.report(n_products=n_products, nnz_out=C.nnz)
-        return SpGEMMResult(matrix=C, report=report)

@@ -127,9 +127,6 @@ class DistSpGEMM(SpGEMMAlgorithm):
         Per-device runner: the leaf registry algorithm, whether to
         front it with a plan-cached :class:`~repro.engine.SpGEMMEngine`,
         and the inner constructor's options.
-    broadcast_cache:
-        Keep B resident across multiplies (pattern digest + value
-        digest; a value-only change ships just the value array).
     tune / tune_store:
         ``tune=True`` autotunes each slot leaf's parameters *per device
         specification* before each compute wave -- a heterogeneous pool
@@ -146,14 +143,13 @@ class DistSpGEMM(SpGEMMAlgorithm):
     def __init__(self, *, n_devices: int = 2, pool: DevicePool | None = None,
                  interconnect: "Interconnect | str" = "pcie",
                  algorithm: "str | SpGEMMAlgorithm" = "proposal",
-                 engine: bool = True, broadcast_cache: bool = True,
+                 engine: bool = True,
                  tune: bool = False, tune_store=None,
                  **algo_options) -> None:
         self.n_devices = int(n_devices)
         self.interconnect = parse_interconnect(interconnect)
         self.algorithm = algorithm
         self.engine = bool(engine)
-        self.broadcast_cache = bool(broadcast_cache)
         self.tune = bool(tune)
         self._tune_store = tune_store
         self.algo_options = dict(algo_options)
@@ -389,7 +385,7 @@ class DistSpGEMM(SpGEMMAlgorithm):
         pattern = pattern_fingerprint(B)
         (values,) = value_tags(B)
         cached = False
-        if not self.broadcast_cache or self._resident_b is None:
+        if self._resident_b is None:
             nbytes = B.device_bytes(p)
         elif self._resident_b == (pattern, values):
             nbytes = 0

@@ -1,4 +1,4 @@
-"""Plan-cached SpGEMM engine: symbolic-phase amortization + batching.
+"""Plan-cached SpGEMM engine: symbolic-phase amortization.
 
 The paper's two-phase flow pays the symbolic phase on every call; the
 engine subsystem amortizes it across calls that share a sparsity pattern
@@ -9,7 +9,7 @@ powers).  See :mod:`repro.engine.engine` for the front,
 """
 
 from repro.engine.cache import DEFAULT_BUDGET_BYTES, CacheStats, PlanCache
-from repro.engine.engine import BatchJob, SpGEMMEngine
+from repro.engine.engine import SpGEMMEngine
 from repro.engine.plan import (
     PlanCapture,
     PlanKey,
@@ -19,7 +19,6 @@ from repro.engine.plan import (
 )
 
 __all__ = [
-    "BatchJob",
     "CacheStats",
     "DEFAULT_BUDGET_BYTES",
     "PlanCache",

@@ -1,4 +1,4 @@
-"""Pattern-keyed SpGEMM plans: the cacheable symbolic outcome of a run.
+"""Pattern-keyed SpGEMM plans: what a plan-cache replay charges.
 
 The paper's two-phase design pays the symbolic phase -- product counting,
 row grouping, the per-group hash counting kernels and the row-pointer
@@ -8,23 +8,24 @@ products on a fixed mesh, Markov-clustering iterations after the pattern
 stabilizes, repeated graph powers) multiply matrices whose patterns
 repeat across calls with fresh values.
 
-:class:`SpGEMMPlan` captures everything the symbolic phase produced --
-per-row product and nnz counts, both :class:`~repro.core.grouping.
-GroupAssignment`\\ s, the Group-0 table sizes and the output-CSR
-structure -- so a later call with the same pattern replays only the
-numeric phase.  :class:`PlanKey` is the cache key: a BLAKE2b digest of
-the four pattern arrays plus the algorithm identity (name and ablation
-switches), device and precision, all of which change the captured
-kernels.  The digest comes from :func:`~repro.sparse.product.
-pattern_fingerprint`, computed once per operand structure: a warm
-iterate (fresh values on a seen structure) builds its key without
-hashing anything.
+:class:`SpGEMMPlan` is the one plan record of both cacheable leaves (the
+proposal and ``tile``).  It holds what a replay charges: the output-CSR
+structure, the cold run's captured calc kernels, the calc working
+buffer, the grouping and table records a replay re-emits (built on the
+first observed replay), and the plan's device-resident footprint.
+:meth:`SpGEMMPlan.replay` is the one replay body.  :class:`PlanKey` is
+the cache key: a BLAKE2b digest of the four pattern arrays plus the
+algorithm identity (name and ablation switches), device and precision,
+all of which change the captured kernels.  The digest comes from
+:func:`~repro.sparse.product.pattern_fingerprint`, computed once per
+operand structure: a warm iterate (fresh values on a seen structure)
+builds its key without hashing anything.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -35,9 +36,8 @@ from repro.sparse.product import (pattern_digest, pattern_fingerprint,
                                   recipe_for)
 
 if TYPE_CHECKING:   # pragma: no cover - typing only
-    from repro.core.grouping import GroupAssignment
-    from repro.core.numeric import NumericPlan
     from repro.gpu.device import DeviceSpec
+    from repro.gpu.kernel import KernelLaunch
     from repro.types import Precision
 
 __all__ = ["pattern_digest", "PlanKey", "PlanCapture", "SpGEMMPlan",
@@ -75,42 +75,55 @@ def make_key(A: CSRMatrix, B: CSRMatrix, algorithm, device: "DeviceSpec",
 class PlanCapture:
     """Mutable sink handed to a cold run to collect its symbolic outcome.
 
-    The planning algorithm fills :attr:`plan` at the end of a successful
-    multiply; ``None`` afterwards means the run aborted before the
-    symbolic phase completed (nothing cacheable).
+    The leaf run fills :attr:`plan` at the end of a successful multiply
+    (:meth:`record`); ``None`` afterwards means the run aborted before
+    the symbolic phase completed (nothing cacheable).
     """
 
     def __init__(self, key: PlanKey) -> None:
         self.key = key
         self.plan: SpGEMMPlan | None = None
 
+    def record(self, ctx, prod, **replay) -> None:
+        """Capture a finished cold run: ``prod`` is its product, ``ctx``
+        its context, ``replay`` what the leaf's cost plan returned."""
+        C = prod.C
+        self.plan = SpGEMMPlan(
+            key=self.key, shape=C.shape, n_products=prod.n_products,
+            nnz_out=C.nnz, c_rpt=C.rpt, c_col=C.col,
+            symbolic_seconds=(ctx.phase_seconds.get("setup", 0.0)
+                              + ctx.phase_seconds.get("count", 0.0)),
+            **replay)
+
 
 @dataclass
 class SpGEMMPlan:
-    """The symbolic outcome of one multiply, keyed by operand pattern.
+    """What a replay of one multiply charges, keyed by operand pattern.
 
     Everything here is a pure function of (pattern, algorithm switches,
     device, precision) -- exactly the fields of :class:`PlanKey` -- so a
-    replay on new values can skip the setup and count phases entirely.
-    The group-row arrays, per-row counts and output-CSR structure are the
-    artifacts a production cache would keep device-resident; their
-    footprint (:meth:`device_bytes`) is what the cache budget meters.
+    replay on new values skips the setup and count phases entirely and
+    re-runs the captured calc kernels (the scheduler never mutates a
+    launch).  The leaf's resident artifacts (group-row arrays and counts,
+    or tiled operands and the pair list) plus the output-CSR structure
+    are what a production cache would keep on the device; their footprint
+    (:meth:`device_bytes`) is what the cache budget meters.
     """
 
     key: PlanKey
     shape: tuple[int, int]           #: output shape (rows of A, cols of B)
     n_products: int                  #: total intermediate products
     nnz_out: int                     #: output nonzeros
-    row_products: np.ndarray         #: Alg. 2 per-row product counts
-    row_nnz: np.ndarray              #: symbolic per-row output nnz
-    sym_groups: "GroupAssignment"    #: grouping by products (step (2))
-    num_groups: "GroupAssignment"    #: grouping by output nnz (step (6))
     c_rpt: np.ndarray                #: output row pointer
     c_col: np.ndarray                #: output column indices (sorted)
     symbolic_seconds: float          #: setup+count time of the cold run
-    sym_global_table_bytes: int = 0  #: Group-0 symbolic retry tables
-    #: cached numeric kernel plan (lazily built; pure function of the key)
-    _numeric_plan: "NumericPlan | None" = field(default=None, repr=False)
+    calc_kernels: list["KernelLaunch"]  #: the calc-phase launches
+    work_name: str | None            #: calc working buffer (None: none)
+    work_bytes: int                  #: its size
+    #: builds the ``(kind, name, records)`` triples a replay re-emits
+    records: Callable[[], list] = field(repr=False)
+    aux_bytes: int                   #: leaf artifacts kept beside rpt/col
+    _records: list | None = field(default=None, init=False, repr=False)
 
     @property
     def n_rows(self) -> int:
@@ -118,21 +131,13 @@ class SpGEMMPlan:
         return int(self.shape[0])
 
     def device_bytes(self) -> int:
-        """Device-resident footprint of the cached plan.
-
-        Both group-row arrays, the per-row nnz vector, and the output-CSR
-        structure (``rpt_C`` + ``col_C``); the value array is *not* part
-        of the plan -- it is recomputed per replay.
-        """
-        return (self.sym_groups.device_bytes()
-                + self.num_groups.device_bytes()
-                + 4 * (self.n_rows + 1)          # row_nnz
+        """Device-resident footprint of the cached plan: the leaf's
+        artifacts and the output-CSR structure (``rpt_C`` + ``col_C``);
+        the value array is *not* part of the plan -- it is recomputed
+        per replay."""
+        return (self.aux_bytes
                 + 4 * (self.n_rows + 1)          # rpt_C
                 + 4 * int(self.nnz_out))         # col_C
-
-    def num_group_stats(self) -> list[dict]:
-        """Numeric grouping decisions, for re-emission on replay."""
-        return self.num_groups.stats(self.row_nnz)
 
     def validate(self, A: CSRMatrix, B: CSRMatrix) -> None:
         """Cheap structural check that the plan still fits the operands."""
@@ -141,29 +146,39 @@ class SpGEMMPlan:
                 f"plan {self.key.label()} shaped {self.shape} cannot serve "
                 f"operands {A.shape} x {B.shape}")
 
-    def numeric_plan(self, A: CSRMatrix, precision: Precision,
-                     device: "DeviceSpec") -> "NumericPlan":
-        """The numeric-phase kernel plan, built once and reused.
-
-        ``plan_numeric`` reads only pattern-derived quantities (``A``'s
-        per-row nnz, the cached grouping and counts), so the result is
-        stable across replays; the scheduler never mutates launches.
-        """
-        if self._numeric_plan is None:
-            from repro.core.numeric import plan_numeric
-
-            self._numeric_plan = plan_numeric(
-                A, self.num_groups, self.row_products, self.row_nnz,
-                precision, device)
-        return self._numeric_plan
+    def replay(self, ctx, A: CSRMatrix, B: CSRMatrix, *,
+               use_streams: bool) -> CSRMatrix:
+        """The one replay body, on a ``numeric_only`` context whose
+        inputs are already resident: the plan joins them, the values are
+        recomputed on the cached structure, the re-emitted records go
+        out, and only the value array, the working buffer and the calc
+        kernels are charged."""
+        ctx.alloc_resident("plan_cache", self.device_bytes())
+        # fresh values on the cached structure (raises PlanMismatchError
+        # if the pattern behind the digest changed under us)
+        C = replay_values(self, A, B, ctx.precision)
+        ctx.note_stats(n_products=self.n_products, nnz_out=self.nnz_out)
+        if ctx.observed:
+            if self._records is None:
+                self._records = self.records()
+            for kind, name, records in self._records:
+                ctx.emit_each(kind, name, records)
+        # the output malloc is values-only: rpt/col live in the plan
+        ctx.alloc("C_values",
+                  int(self.nnz_out) * ctx.precision.value_dtype.itemsize,
+                  phase="malloc")
+        work = (None if self.work_name is None else
+                ctx.alloc(self.work_name, self.work_bytes, phase="calc"))
+        ctx.run("calc", self.calc_kernels, use_streams=use_streams)
+        if work is not None:
+            ctx.free(work)
+        return C
 
 
 def replay_values(plan, A: CSRMatrix, B: CSRMatrix,
                   precision: Precision) -> CSRMatrix:
     """Output of a plan-cache hit: fresh values on the plan's structure.
 
-    Serves every plan type carrying ``key``/``shape``/``c_rpt``/``c_col``
-    (:class:`SpGEMMPlan` and :class:`repro.tile.algorithm.TilePlan`).
     The engine built ``plan.key`` from these very operands, so
     ``plan.key.digest`` *is* their :func:`pattern_digest`: the sort
     recipe comes straight from the recipe store under it (rebuilt only

@@ -75,16 +75,6 @@ class DeviceSpec:
         """Peak global bandwidth in bytes/s."""
         return self.mem_bandwidth_gbps * 1e9
 
-    @property
-    def bytes_per_cycle_per_sm(self) -> float:
-        """Fair-share global bandwidth of one SM, bytes per SM cycle."""
-        return self.bandwidth_bytes_per_sec / (self.sm_count * self.clock_hz)
-
-    @property
-    def max_warps_per_sm(self) -> int:
-        """Resident-warp limit per SM."""
-        return self.max_threads_per_sm // self.warp_size
-
     def flops_per_cycle_per_sm(self, double_precision: bool) -> float:
         """Arithmetic ops retired per cycle per SM (FMA counted as 2 in FLOPS
         figures, but the cost model counts *operations*, so cores/cycle)."""

@@ -89,13 +89,6 @@ class BlockWorks:
         if unknown:
             raise ValueError(f"unknown work columns: {sorted(unknown)}")
 
-    @classmethod
-    def from_estimates(cls, estimates: list[WorkEstimate]) -> "BlockWorks":
-        """Build from a list of scalar estimates."""
-        return cls(n_blocks=len(estimates),
-                   **{name: np.array([getattr(e, name) for e in estimates])
-                      for name in _WORK_FIELDS})
-
     def totals(self) -> WorkEstimate:
         """Sum over all blocks (for aggregate traffic statistics)."""
         return WorkEstimate(**{name: float(getattr(self, name).sum())

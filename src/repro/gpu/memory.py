@@ -150,11 +150,6 @@ class DeviceMemory:
         self._record(
             AllocationEvent("free", allocation.name, allocation.nbytes, self.in_use))
 
-    def free_all(self) -> None:
-        """Release everything still live (end-of-run cleanup)."""
-        for a in list(self._live.values()):
-            self.free(a)
-
     def release_all(self) -> list[Allocation]:
         """Teardown: free every live allocation *without* charging simulated
         time -- the cleanup of an aborted (or finished) run happens outside
@@ -179,11 +174,6 @@ class DeviceMemory:
         return False
 
     # ------------------------------------------------------------------
-
-    @property
-    def live_allocations(self) -> list[Allocation]:
-        """Currently live allocations, in insertion order."""
-        return list(self._live.values())
 
     def __repr__(self) -> str:
         return (f"DeviceMemory(in_use={self.in_use:,}, peak={self.peak:,}, "

@@ -21,11 +21,6 @@ class Occupancy:
     warps_per_block: int     #: warps in one block (threads rounded up)
     limited_by: str          #: 'threads' | 'shared' | 'blocks'
 
-    @property
-    def resident_warps(self) -> int:
-        """Warps resident on an SM when fully occupied by this kernel."""
-        return self.blocks_per_sm * self.warps_per_block
-
 
 def occupancy_for(device: DeviceSpec, block_threads: int,
                   shared_bytes_per_block: int) -> Occupancy:

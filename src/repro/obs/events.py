@@ -125,7 +125,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 #: Ambient default for :attr:`repro.base.RunContext.observed`.  True --
 #: the status quo -- keeps every run fully traced; flipping it to False
@@ -230,38 +230,27 @@ class Event:
 
 
 class EventBus:
-    """Ordered collector of :class:`Event` with optional subscribers.
+    """Ordered collector of :class:`Event`.
 
-    The bus itself is passive storage plus fan-out: ``emit`` appends and
-    notifies subscribers synchronously.  Callers emitting a batch of
-    concurrent events (e.g. the kernel records of one phase) sort the
-    batch by timestamp first so the stream stays nondecreasing.
+    The bus is passive storage.  Callers emitting a batch of concurrent
+    events (e.g. the kernel records of one phase) hand it over in one
+    call, which sorts it by timestamp so the stream stays nondecreasing.
     """
 
     def __init__(self) -> None:
         self.events: list[Event] = []
-        self._subscribers: list[Callable[[Event], None]] = []
 
     # -- publishing --------------------------------------------------------
 
     def emit(self, kind: str, name: str, ts: float, **attrs: Any) -> Event:
-        """Append one event and notify subscribers; returns the event."""
+        """Append one event; returns the event."""
         event = Event(ts=float(ts), kind=kind, name=name, attrs=attrs)
         self.events.append(event)
-        for fn in self._subscribers:
-            fn(event)
         return event
 
     def emit_batch(self, batch: Iterable[Event]) -> None:
         """Append a batch of events sorted by timestamp (stable)."""
-        for event in sorted(batch, key=lambda e: e.ts):
-            self.events.append(event)
-            for fn in self._subscribers:
-                fn(event)
-
-    def subscribe(self, fn: Callable[[Event], None]) -> None:
-        """Register a callback invoked synchronously on every emit."""
-        self._subscribers.append(fn)
+        self.events.extend(sorted(batch, key=lambda e: e.ts))
 
     # -- reading -----------------------------------------------------------
 
@@ -270,15 +259,6 @@ class EventBus:
 
     def __len__(self) -> int:
         return len(self.events)
-
-    def of_kind(self, kind: str) -> list[Event]:
-        """Events of one kind, in emission order."""
-        return [e for e in self.events if e.kind == kind]
-
-    @property
-    def last_ts(self) -> float:
-        """Timestamp of the latest event (0.0 when empty)."""
-        return self.events[-1].ts if self.events else 0.0
 
 
 def is_nondecreasing(events: Iterable[Event]) -> bool:

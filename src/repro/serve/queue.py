@@ -105,11 +105,3 @@ class WeightedFairQueue:
     def __iter__(self) -> Iterator[Any]:
         """Queued items in dispatch order (non-destructive)."""
         return (item for _, _, item in sorted(self._heap))
-
-    def depth_by_tenant(self) -> dict[str, int]:
-        """Queued-job count per tenant (observability)."""
-        out: dict[str, int] = {}
-        for _, _, item in self._heap:
-            t = getattr(item, "tenant", "")
-            out[t] = out.get(t, 0) + 1
-        return out

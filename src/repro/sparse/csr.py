@@ -15,7 +15,7 @@ writable -- iterative workloads update values in place.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -116,11 +116,6 @@ class CSRMatrix:
         """``(columns, values)`` views of row ``i``."""
         lo, hi = int(self.rpt[i]), int(self.rpt[i + 1])
         return self.col[lo:hi], self.val[lo:hi]
-
-    def iter_rows(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Yield ``(columns, values)`` for every row in order."""
-        for i in range(self.n_rows):
-            yield self.row_slice(i)
 
     # -- device accounting -------------------------------------------------
 

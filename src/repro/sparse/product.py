@@ -83,21 +83,28 @@ _fingerprints = perf.LRUCache(_FINGERPRINT_CAPACITY)
 
 
 class ProductResult(NamedTuple):
-    """Functional product of one operand pair (values in float64)."""
+    """Functional product of one operand pair and its row statistics.
+
+    The statistics are everything a leaf's cost plan reads: per-row
+    products, per-row output nnz, A's row lengths and the totals.  They
+    are computed once per product and shared by every run that hits it;
+    the shared leaf run (:meth:`repro.base.SpGEMMAlgorithm._run`) takes
+    them from :func:`product_for`.
+    """
 
     anchors: tuple               #: strong refs keeping the id()-key valid
     row_products: np.ndarray     #: Alg. 2 counts per row (int64)
-    C: CSRMatrix                 #: canonical product, float64 values
+    row_nnz: np.ndarray          #: output nnz per row (int64)
+    nnz_a: np.ndarray            #: A's row lengths (int64)
+    n_products: int              #: total intermediate products
+    #: canonical product: float64 values from :func:`compute_product`,
+    #: the run precision's from :func:`product_for`
+    C: CSRMatrix
 
     @property
-    def n_products(self) -> int:
-        """Total intermediate products."""
-        return int(self.row_products.sum())
-
-    @property
-    def row_nnz(self) -> np.ndarray:
-        """Output nnz per row."""
-        return self.C.row_nnz()
+    def nnz_out(self) -> int:
+        """Total output nonzeros."""
+        return self.C.nnz
 
 
 def _val_tag(val: np.ndarray) -> bytes:
@@ -207,20 +214,24 @@ def compute_product(A: CSRMatrix, B: CSRMatrix) -> ProductResult:
     recipe = recipe_for(A, B)
     C = CSRMatrix(recipe.rpt, recipe.col, values_from_recipe(recipe, A, B),
                   recipe.shape, check=False)
+    row_products = recipe.row_counts.astype(np.int64)
     result = ProductResult(anchors=(A.rpt, A.col, B.rpt, B.col),
-                           row_products=recipe.row_counts.astype(np.int64),
-                           C=C)
+                           row_products=row_products,
+                           row_nnz=C.row_nnz().astype(np.int64),
+                           nnz_a=A.row_nnz().astype(np.int64),
+                           n_products=int(row_products.sum()), C=C)
     _cache.put(key, result)
     return result
 
 
 def product_for(A: CSRMatrix, B: CSRMatrix,
-                precision: Precision) -> tuple[np.ndarray, CSRMatrix]:
-    """``(row_products, C)`` with C's values cast to ``precision``."""
+                precision: Precision) -> ProductResult:
+    """:func:`compute_product` with ``C``'s values cast to ``precision``
+    (always a copy: callers never share the cached value array)."""
     r = compute_product(A, B)
-    C = CSRMatrix(r.C.rpt, r.C.col, r.C.val.astype(precision.value_dtype),
-                  r.C.shape, check=False)
-    return r.row_products, C
+    return r._replace(C=CSRMatrix(r.C.rpt, r.C.col,
+                                  r.C.val.astype(precision.value_dtype),
+                                  r.C.shape, check=False))
 
 
 @perf.register_cache_clearer

@@ -36,11 +36,6 @@ class MatrixStats:
                                     default_factory=lambda: np.empty(0, np.int64))
 
     @property
-    def compression_ratio(self) -> float:
-        """Intermediate products per output nonzero (>= 1)."""
-        return self.n_products / max(1, self.nnz_out)
-
-    @property
     def flops(self) -> int:
         """FLOP count of the multiply under the paper's metric (2 * products)."""
         return 2 * self.n_products

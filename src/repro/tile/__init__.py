@@ -10,9 +10,9 @@ composes with the engine plan cache, resilience ladder, autotuner and
 ``dist`` pools through the ordinary registry seams.
 """
 
-from repro.tile.algorithm import TilePlan, TileSpGEMM
+from repro.tile.algorithm import TileSpGEMM
 from repro.tile.format import DEFAULT_TILE, MAX_TILE, TiledCSR
 from repro.tile.params import TileParams
 
 __all__ = ["DEFAULT_TILE", "MAX_TILE", "TiledCSR", "TileParams",
-           "TilePlan", "TileSpGEMM"]
+           "TileSpGEMM"]

@@ -425,8 +425,8 @@ def sketch_tiles(A: CSRMatrix, B: CSRMatrix,
     """Sketch the tiled instance (reuses the cached functional product,
     like :func:`~repro.tune.sketch.sketch_matrix`)."""
     params = params or TileParams()
-    row_products, C = product_for(A, B, Precision.DOUBLE)
-    stats = tile_stats(A, B, C, row_products, params)
+    prod = product_for(A, B, Precision.DOUBLE)
+    stats = tile_stats(A, B, prod.C, prod.row_products, params)
     tile = stats.tc.tile
 
     prod = stats.products.astype(np.int64)

@@ -59,15 +59,6 @@ class Precision(enum.Enum):
         """
         return self.index_bytes + self.value_bytes
 
-    @property
-    def flop_ratio(self) -> float:
-        """Relative arithmetic throughput versus single precision.
-
-        The P100 executes double-precision FMAs at half the single-precision
-        rate (1:2 DP:SP).
-        """
-        return 1.0 if self is Precision.SINGLE else 0.5
-
     @classmethod
     def parse(cls, value: "Precision | str") -> "Precision":
         """Coerce ``'single'`` / ``'double'`` / :class:`Precision` to an enum."""

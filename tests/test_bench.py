@@ -65,12 +65,6 @@ class TestDatasetInstances:
             means.append(m.nnz / m.n_rows)
         assert means == sorted(means, reverse=True)
 
-    def test_scale_factors_positive(self):
-        ds = D.get_dataset("Epidemiology")
-        assert ds.row_factor() > 1
-        assert ds.product_factor() > 1
-        assert ds.nnz_out_factor() > 1
-
     def test_unknown_dataset(self):
         with pytest.raises(KeyError):
             D.get_dataset("nonexistent")

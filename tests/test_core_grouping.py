@@ -100,13 +100,6 @@ class TestGroupAssignmentProperty:
 
 
 class TestAccessors:
-    def test_group_sizes(self, table):
-        counts = np.array([10, 10, 100, 5000])
-        a = group_rows(counts, table, "nnz")
-        sizes = a.group_sizes()
-        assert sum(sizes) == 4
-        assert sizes[6] == 2      # the two 10-nnz rows
-
     def test_nonempty_skips_empty_groups(self, table):
         counts = np.full(10, 5)   # all pwarp
         a = group_rows(counts, table, "nnz")

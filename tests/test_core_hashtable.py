@@ -88,12 +88,6 @@ class TestAlgorithm5Semantics:
         np.testing.assert_array_equal(keys, [2, 9, 40])
         np.testing.assert_array_equal(vals, [2.0, 1.0, 3.0])
 
-    def test_load_factor(self):
-        t = HashTable(8)
-        t.insert(1)
-        t.insert(2)
-        assert t.load_factor == 0.25
-
 
 class TestOrderInvariance:
     """Classic linear-probing property: the occupied-slot set and the total

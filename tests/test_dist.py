@@ -354,15 +354,6 @@ class TestBroadcastCache:
                    for e in bcasts)
         assert delta < A2.device_bytes(Precision.SINGLE)
 
-    def test_cache_disabled_always_ships(self):
-        A = generators.banded(60, 4, rng=14)
-        dist = DistSpGEMM(n_devices=2, broadcast_cache=False)
-        dist.multiply(A, A, precision="single")
-        res = dist.multiply(A, A, precision="single")
-        bcasts = [e for e in res.report.events
-                  if e.kind == E.COMM and e.name == "broadcast"]
-        assert all(e.attrs["nbytes"] > 0 for e in bcasts)
-
 
 class TestObservability:
     @pytest.fixture()

@@ -35,16 +35,9 @@ class TestDerivedRates:
     def test_clock_hz(self):
         assert P100.clock_hz == pytest.approx(P100.clock_ghz * 1e9)
 
-    def test_bytes_per_cycle_per_sm(self):
-        total = P100.bytes_per_cycle_per_sm * P100.sm_count * P100.clock_hz
-        assert total == pytest.approx(732e9)
-
     def test_flops_per_cycle(self):
         assert P100.flops_per_cycle_per_sm(False) == 64
         assert P100.flops_per_cycle_per_sm(True) == 32
-
-    def test_max_warps(self):
-        assert P100.max_warps_per_sm == 64
 
 
 class TestMallocModel:

@@ -43,11 +43,6 @@ class TestBlockWorks:
         with pytest.raises(ValueError):
             BlockWorks()
 
-    def test_from_estimates(self):
-        w = BlockWorks.from_estimates([WorkEstimate(flops=1),
-                                       WorkEstimate(flops=2)])
-        np.testing.assert_array_equal(w.flops, [1.0, 2.0])
-
     def test_totals(self):
         w = BlockWorks(n_blocks=2, flops=np.array([1.0, 2.0]),
                        gmem_random=np.array([3.0, 4.0]))

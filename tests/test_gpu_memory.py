@@ -46,13 +46,6 @@ class TestAllocFree:
         with pytest.raises(ReproError, match="double free"):
             mem.free(a)
 
-    def test_free_all(self, mem):
-        mem.alloc("a", 10)
-        mem.alloc("b", 20)
-        mem.free_all()
-        assert mem.in_use == 0
-        assert not mem.live_allocations
-
 
 class TestOOM:
     def test_over_capacity_raises(self, mem):

@@ -53,10 +53,6 @@ class TestLimits:
         occ = occupancy_for(P100, 33, 0)
         assert occ.warps_per_block == 2
 
-    def test_resident_warps(self):
-        occ = occupancy_for(P100, 256, 0)
-        assert occ.resident_warps == occ.blocks_per_sm * 8
-
 
 class TestErrors:
     def test_zero_threads(self):

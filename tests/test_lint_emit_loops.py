@@ -1,6 +1,7 @@
 """The emit-in-loop lint: clean tree, and it actually bites.
 
-``tools/check_emit_loops.py`` keeps ``src/repro/core`` on the batched
+``tools/check_emit_loops.py`` keeps the packages a leaf run executes
+(``core``, ``baselines``, ``cpu``, ``tile``, ``engine``) on the batched
 ``ctx.emit_each`` pattern; this suite runs it against the real tree
 (must be clean) and against synthetic trees with violations (must flag
 exactly the per-element ``.emit`` calls inside loops -- not loop-free
@@ -60,6 +61,19 @@ def test_lint_allows_loop_free_emit_and_emit_each(tmp_path):
         "    if ctx.observed:\n"
         "        ctx.emit_each('grouping', 'numeric', stats)\n")
     assert check_emit_loops.offending_lines(tmp_path) == []
+
+
+def test_lint_scans_every_leaf_run_package(tmp_path):
+    for pkg in ("baselines", "cpu", "tile", "engine"):
+        d = tmp_path / "src" / "repro" / pkg
+        d.mkdir(parents=True)
+        (d / "loopy.py").write_text(
+            "def f(ctx, rows):\n"
+            "    for r in rows:\n"
+            "        ctx.emit('grouping', 'x', row=r)\n")
+    hits = check_emit_loops.offending_lines(tmp_path)
+    assert sorted(h.split("/")[2] for h in hits) == [
+        "baselines", "cpu", "engine", "tile"]
 
 
 def test_lint_ignores_files_outside_core(tmp_path):

@@ -41,8 +41,7 @@ class TestEventBus:
         bus = EventBus()
         e = bus.emit(OBS.ALLOC, "buf", 1.5, nbytes=64)
         assert e.ts == 1.5 and e.attrs["nbytes"] == 64
-        assert bus.of_kind(OBS.ALLOC) == [e]
-        assert len(bus) == 1 and bus.last_ts == 1.5
+        assert len(bus) == 1
 
     def test_batch_sorted(self):
         bus = EventBus()
@@ -50,13 +49,6 @@ class TestEventBus:
                         Event(1.0, OBS.KERNEL_LAUNCH, "k")])
         assert [e.ts for e in bus] == [1.0, 2.0]
         assert is_nondecreasing(bus.events)
-
-    def test_subscribe(self):
-        bus = EventBus()
-        seen = []
-        bus.subscribe(seen.append)
-        bus.emit(OBS.CHARGE, "setup", 0.0, seconds=1.0)
-        assert len(seen) == 1
 
     def test_shifted_copies(self):
         e = Event(1.0, OBS.FREE, "buf", {"nbytes": 8})

@@ -100,7 +100,6 @@ class TestWeightedFairQueue:
         assert q.remove(items[1])
         assert not q.remove(items[1])
         assert list(q) == [items[0], items[2]]
-        assert q.depth_by_tenant() == {"": 2}   # objects have no .tenant
 
 
 class TestRetryPolicy:

@@ -62,11 +62,6 @@ class TestProperties:
         np.testing.assert_array_equal(cols, [0, 2])
         np.testing.assert_array_equal(vals, [2.0, 1.0])
 
-    def test_iter_rows(self, tiny):
-        rows = list(tiny.iter_rows())
-        assert len(rows) == 4
-        np.testing.assert_array_equal(rows[3][0], [1, 3])
-
     def test_precision_detection(self, tiny):
         assert tiny.precision is Precision.DOUBLE
         assert tiny.astype("single").precision is Precision.SINGLE

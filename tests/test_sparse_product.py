@@ -72,8 +72,7 @@ class TestProductCache:
 
     def test_product_for_casts_values(self, rng):
         A = generators.banded(40, 4, rng=rng)
-        _, C = product_for(A, A, Precision.SINGLE)
-        assert C.dtype == np.float32
+        assert product_for(A, A, Precision.SINGLE).C.dtype == np.float32
 
     def test_row_products_match_stats(self, rng):
         A = generators.banded(40, 4, rng=rng)
@@ -366,7 +365,6 @@ class TestStats:
         assert s.nnz_per_row_max == 4
         assert s.n_products == 1600
         assert s.nnz_out == int(s.row_nnz_out.sum())
-        assert s.compression_ratio >= 1.0
         assert s.flops == 2 * s.n_products
 
     def test_table_rendering(self, rng):

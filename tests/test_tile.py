@@ -140,8 +140,9 @@ class TestTileAlgorithm:
 
     def test_no_global_atomics_anywhere(self, square):
         # THE family invariant: every pipeline kernel is atomic-free
-        rp, C = product_for(square, square, Precision.DOUBLE)
-        stats = tile_stats(square, square, C, rp, TileParams())
+        prod = product_for(square, square, Precision.DOUBLE)
+        stats = tile_stats(square, square, prod.C, prod.row_products,
+                           TileParams())
         kernels = build_pipeline_kernels(stats, 16, Precision.DOUBLE, P100)
         flat = list(kernels["conversion"]) + [
             kernels[k] for k in ("match", "select", "numeric", "assemble")]

@@ -39,10 +39,6 @@ class TestPrecision:
         assert Precision.DOUBLE.hash_entry_bytes == 12
         assert Precision.SINGLE.hash_entry_bytes == 8
 
-    def test_flop_ratio(self):
-        assert Precision.SINGLE.flop_ratio == 1.0
-        assert Precision.DOUBLE.flop_ratio == 0.5
-
 
 class TestNextPow2:
     @pytest.mark.parametrize("n,expected", [

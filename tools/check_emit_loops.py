@@ -1,16 +1,20 @@
 #!/usr/bin/env python3
-"""Fail CI when core code emits observability events one-per-element.
+"""Fail CI when leaf-run code emits observability events one-per-element.
 
 Per-element ``ctx.emit(...)`` inside a loop re-checks the observed flag
 and re-builds an :class:`~repro.obs.events.Event` for every row -- the
-exact pattern the vectorization pass removed from the hot paths.  Core
-code must batch records and hand them to ``ctx.emit_each(...)`` (one
-observed check, loop only when a sink is attached).
+exact pattern the vectorization pass removed from the hot paths.  The
+packages a leaf run executes (:data:`PACKAGES`: the proposal's core,
+the baselines, the CPU and tile families, and the engine's replay) must
+batch records and hand them to ``ctx.emit_each(...)`` (one observed
+check, loop only when a sink is attached).
 
 This is an AST check, not a grep: it flags any ``*.emit(...)`` call that
-occurs lexically inside a ``for``/``while`` body in ``src/repro/core``.
-``emit_each`` and the event-bus internals are exempt, as are loops in
-modules whose *job* is per-attempt emission (the allowlist below).
+occurs lexically inside a ``for``/``while`` body under ``src/repro/<pkg>``
+for each scanned package.  ``emit_each`` is exempt, and so is
+``repro/base.py`` (``RunContext.emit_each``'s loop *is* the batched
+form), as are loops in modules whose *job* is per-attempt emission (the
+allowlist below).
 
 Usage::
 
@@ -24,6 +28,9 @@ from __future__ import annotations
 import ast
 import sys
 from pathlib import Path
+
+#: Packages under ``src/repro`` whose code runs inside a leaf run.
+PACKAGES = ("core", "baselines", "cpu", "tile", "engine")
 
 #: Modules allowed to emit inside a loop: per-*attempt* / per-*fault*
 #: control loops that run a handful of times, not per-row hot loops.
@@ -51,9 +58,11 @@ def _loop_emit_calls(tree: ast.AST) -> list[ast.Call]:
 
 
 def offending_lines(root: Path) -> list[str]:
-    """Every ``file:line: text`` hit under ``root``'s src/repro/core."""
+    """Every ``file:line: text`` hit in ``root``'s scanned packages."""
     hits: list[str] = []
-    for path in sorted((root / "src" / "repro" / "core").rglob("*.py")):
+    paths = [p for pkg in PACKAGES
+             for p in sorted((root / "src" / "repro" / pkg).rglob("*.py"))]
+    for path in paths:
         rel = path.relative_to(root).as_posix()
         if rel in ALLOWLIST:
             continue
@@ -71,11 +80,11 @@ def main(argv: list[str]) -> int:
     for h in hits:
         print(f"EMIT IN LOOP: {h}", file=sys.stderr)
     if hits:
-        print(f"{len(hits)} per-element emit call(s) in core loops; "
+        print(f"{len(hits)} per-element emit call(s) in leaf-run loops; "
               "batch the records and use ctx.emit_each(kind, name, records)",
               file=sys.stderr)
         return 1
-    print("no per-element emit calls in core loops")
+    print("no per-element emit calls in leaf-run loops")
     return 0
 
 
