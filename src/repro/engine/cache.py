@@ -1,7 +1,7 @@
 """LRU plan cache under a device-memory budget.
 
-A production SpGEMM service keeps captured plans (group-row arrays,
-per-row counts, output-CSR structure) resident on the device so a hit
+A production SpGEMM service keeps captured plans (the leaf's artifacts
+and the output-CSR structure) resident on the device so a hit
 replays without any host round trip.  Device memory is the scarce
 resource, so the cache is budgeted in *bytes*, not entries: storing a
 plan evicts least-recently-used plans until the new total fits.  Plans
@@ -9,8 +9,8 @@ larger than the whole budget are never stored (the multiply still runs,
 it just stays cold).
 
 The cache is thread-safe: :meth:`PlanCache.lookup` and
-:meth:`PlanCache.store` take an internal lock so the engine's batched
-worker pool can share one cache.
+:meth:`PlanCache.store` take an internal lock so threads sharing one
+engine can share one cache.
 """
 
 from __future__ import annotations

@@ -51,8 +51,8 @@ class LRUCache:
     total fits, so a value larger than the whole budget is kept alone as
     the only entry.  Every access takes one lock (as
     :class:`~repro.engine.cache.PlanCache` does), so concurrent callers
-    -- the engine's batch pool, the serving workers -- never evict the
-    same key twice.
+    -- the serving workers, each holding its own runner -- never evict
+    the same key twice.
     """
 
     def __init__(self, budget: int,
