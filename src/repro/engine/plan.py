@@ -31,9 +31,8 @@ import numpy as np
 
 from repro.errors import PlanMismatchError
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.expansion import values_from_recipe
 from repro.sparse.product import (pattern_digest, pattern_fingerprint,
-                                  recipe_for)
+                                  recipe_values)
 
 if TYPE_CHECKING:   # pragma: no cover - typing only
     from repro.gpu.device import DeviceSpec
@@ -182,8 +181,9 @@ def replay_values(plan, A: CSRMatrix, B: CSRMatrix,
     The engine built ``plan.key`` from these very operands, so
     ``plan.key.digest`` *is* their :func:`pattern_digest`: the sort
     recipe comes straight from the recipe store under it (rebuilt only
-    if the store evicted it) and the values are one gather + multiply +
-    ``reduceat`` -- no pattern rehash, no value hashing, no full-result
+    if the store evicted it, laid out for replay on the pattern's second
+    value computation) and the values are one gather + multiply + the
+    run sums -- no pattern rehash, no value hashing, no full-result
     cache.  A caller replaying a plan outside the engine must keep the
     same precondition: on operands of another pattern the gather would
     follow the plan's recipe.  The output structure must equal the
@@ -194,9 +194,8 @@ def replay_values(plan, A: CSRMatrix, B: CSRMatrix,
     array written through an alias that predates the matrix, or its
     write flag switched back on).
     """
-    recipe = recipe_for(A, B, plan.key.digest)
+    recipe, val = recipe_values(A, B, plan.key.digest)
     rpt, col = recipe.rpt, recipe.col
-    val = values_from_recipe(recipe, A, B)
     if not ((rpt is plan.c_rpt and col is plan.c_col)
             or (np.array_equal(rpt, plan.c_rpt)
                 and np.array_equal(col, plan.c_col))):

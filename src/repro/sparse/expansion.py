@@ -116,18 +116,33 @@ class SortRecipe(NamedTuple):
     duplicate-run boundaries and the output-CSR structure never change --
     only the multiplied values do.  A recipe captures all of it, so a
     later multiply with fresh values on the same patterns reduces to a
-    gather, an elementwise multiply and one ``np.add.reduceat``
+    gather, an elementwise multiply and the run sums
     (:func:`values_from_recipe`), bit-identical to re-running
     :func:`expand_products` + :func:`contract` from scratch.
 
+    The products are stored in *replay order*.  A built recipe keeps the
+    sorted order: every run sits in the ``reduceat`` section and the
+    output needs no scatter.  :func:`lay_out_for_replay` moves the short
+    runs of well-populated lengths ahead of that section into
+    length-class blocks; the recipe store does so when a pattern's
+    values are computed a second time.
+
     Attributes
     ----------
-    a_idx / b_idx: per intermediate product (in (row, col)-sorted order),
-        the flat index of the contributing A and B nonzero.
-    starts: ``reduceat`` boundaries of the duplicate runs.
+    a_idx / b_idx: per intermediate product, in replay order, the flat
+        index of the contributing A and B nonzero.
+    starts: ``reduceat`` boundaries of the runs in the ``reduceat``
+        section (positions in ``a_idx``).
     rpt / col: the output-CSR structure.
     row_counts: Alg. 2 per-row product counts.
     shape: output shape.
+    blocks: the short blocks ahead of the ``reduceat`` section, as
+        ``(run length, runs)`` pairs in replay order; ``None`` until the
+        recipe is laid out.
+    run_order: output position of each run in replay order; ``None``
+        while replay order is output order.
+    valued: whether values have been computed along the recipe (the
+        recipe store's mark: the next computation lays it out).
     """
 
     a_idx: np.ndarray
@@ -137,6 +152,9 @@ class SortRecipe(NamedTuple):
     col: np.ndarray
     row_counts: np.ndarray
     shape: tuple[int, int]
+    blocks: tuple[tuple[int, int], ...] | None = None
+    run_order: np.ndarray | None = None
+    valued: bool = False
 
     @property
     def n_products(self) -> int:
@@ -145,9 +163,9 @@ class SortRecipe(NamedTuple):
 
     def nbytes(self) -> int:
         """Host memory retained by the recipe (cache accounting)."""
-        return sum(int(a.nbytes) for a in
-                   (self.a_idx, self.b_idx, self.starts, self.rpt,
-                    self.col, self.row_counts))
+        arrays = (self.a_idx, self.b_idx, self.starts, self.rpt, self.col,
+                  self.row_counts, self.run_order)
+        return sum(int(a.nbytes) for a in arrays if a is not None)
 
 
 def _fused_key_dtype(n_rows: int, n_cols: int):
@@ -230,31 +248,136 @@ def build_sort_recipe(A, B) -> SortRecipe:
 #: free block that large.
 REPLAY_CHUNK = 1 << 15
 
+#: Longest duplicate run a laid-out recipe sums with whole-array adds.
+#: ``reduceat`` sums a run as its first product plus NumPy's pairwise sum
+#: of the rest, and the pairwise sum adds sequentially below 8 elements.
+#: Up to 8 products, ``head + ((v1 + v2) + v3 ...)`` is therefore
+#: ``reduceat``'s own order; longer runs stay with ``reduceat``.  That
+#: order is NumPy's, not its API: the recipe tests pin it and name the
+#: NumPy version on a mismatch.
+SHORT_RUN = 8
+
+#: Fewest runs of one length that get blocks.  A block costs about ten
+#: NumPy calls whatever its size (~10 us on a 2-vCPU x86-64 host, where
+#: a blocked run saves ~10-20 ns over ``reduceat``), so smaller classes
+#: stay with ``reduceat``.
+MIN_CLASS_RUNS = 512
+
+
+def lay_out_for_replay(recipe: SortRecipe) -> SortRecipe:
+    """``recipe`` re-laid so that replays sum short runs by length class.
+
+    A length of 1 to :data:`SHORT_RUN` products with at least
+    :data:`MIN_CLASS_RUNS` runs is a blocked class; every other run
+    stays with ``reduceat``.  One stable radix argsort of the uint8
+    classes orders the runs.  The runs of each blocked class fill blocks
+    of at most :data:`REPLAY_CHUNK` products; a block of ``m`` runs of
+    length ``L`` holds product ``k`` of its ``j``-th run at ``k * m + j``,
+    so every row of its ``(L, m)`` view is one product of each run.  The
+    other runs follow in output order, bounded by ``starts``.  One
+    permutation of ``a_idx`` and ``b_idx`` applies it all; the output
+    structure stays the same arrays.  The scatter back to output order
+    moves every run, so unless blocked runs are more than half of them
+    the recipe keeps its arrays and replays as built.
+    """
+    starts = recipe.starts
+    n_products = recipe.n_products
+    lengths = np.diff(starts, append=n_products)
+    length_class = np.minimum(lengths, SHORT_RUN + 1).astype(np.uint8)
+    per_class = np.bincount(length_class, minlength=SHORT_RUN + 2)
+    blocked = per_class >= MIN_CLASS_RUNS
+    blocked[[0, SHORT_RUN + 1]] = False
+    if 2 * per_class[blocked].sum() <= lengths.shape[0]:
+        return recipe._replace(blocks=())
+    # unblocked short runs join the longer ones in the reduceat section
+    per_class[~blocked] = 0
+    length_class = np.where(blocked, np.arange(SHORT_RUN + 2),
+                            SHORT_RUN + 1).astype(np.uint8)[length_class]
+    run_order = np.argsort(length_class, kind="stable")
+    perm = np.empty(n_products, dtype=INDEX_DTYPE)
+    blocks = []
+    r = p = 0
+    for length in range(1, SHORT_RUN + 1):
+        end = r + int(per_class[length])
+        step = max(1, REPLAY_CHUNK // length)
+        for r0 in range(r, end, step):
+            runs = run_order[r0:min(r0 + step, end)]
+            q = p + length * runs.shape[0]
+            np.add.outer(np.arange(length), starts[runs],
+                         out=perm[p:q].reshape(length, -1))
+            blocks.append((length, int(runs.shape[0])))
+            p = q
+        r = end
+    rest = run_order[r:]
+    rest_lengths = lengths[rest]
+    rest_starts = p + np.cumsum(rest_lengths) - rest_lengths
+    perm[p:] = np.arange(p, n_products) + np.repeat(
+        starts[rest] - rest_starts, rest_lengths)
+    return recipe._replace(a_idx=recipe.a_idx[perm], b_idx=recipe.b_idx[perm],
+                           starts=rest_starts, blocks=tuple(blocks),
+                           run_order=run_order)
+
+
+def _products(recipe: SortRecipe, A, B, p0: int, p1: int) -> np.ndarray:
+    """Products ``p0:p1`` (replay order) in the operand dtype, as float64."""
+    return (A.val[recipe.a_idx[p0:p1]] * B.val[recipe.b_idx[p0:p1]]).astype(
+        np.float64, copy=False)
+
 
 def values_from_recipe(recipe: SortRecipe, A, B) -> np.ndarray:
     """Output values (float64) of ``A @ B`` along a captured recipe.
 
     Bit-identical to the :func:`expand_products` + :func:`contract` pair:
     the same value pairs are multiplied in the same operand dtype, cast
-    to float64, and reduced over the same boundaries in the same order --
-    only the lexsort itself is skipped.  The replay walks the recipe in
-    chunks of whole duplicate runs, about :data:`REPLAY_CHUNK` products
-    each, and ``reduceat`` reduces each run alone either way.
+    to float64 and summed run by run in ``reduceat``'s order -- only the
+    lexsort itself is skipped.  A short block of runs (a laid-out
+    recipe) is summed as ``head + ((v1 + v2) + v3 ...)``, one whole-row
+    add per product, which is ``reduceat``'s order for runs of at most
+    :data:`SHORT_RUN` products; IEEE addition commutes except in which
+    of two NaNs it keeps, so the few runs that sum to NaN are summed
+    again by ``reduceat``.  The ``reduceat`` section is walked in chunks
+    of whole runs, about :data:`REPLAY_CHUNK` products each, and
+    ``reduceat`` reduces each run alone either way.  One scatter puts a
+    laid-out recipe's runs back in output order.
     """
+    out = np.empty(recipe.col.shape[0], dtype=np.float64)
+    r = p = 0
+    for length, runs in recipe.blocks or ():
+        q = p + length * runs
+        v = _products(recipe, A, B, p, q).reshape(length, runs)
+        sums = out[r:r + runs]
+        if length == 1:
+            sums[:] = v[0]
+        else:
+            # a new array past two products: v stays whole for the re-sum
+            tail = v[1] if length == 2 else v[1] + v[2]
+            for row in v[3:]:
+                tail += row
+            np.add(v[0], tail, out=sums)
+            nan = np.flatnonzero(np.isnan(sums))
+            if nan.size:
+                # which of two NaNs a sum keeps follows the operand order
+                # of the compiled add, so NaN runs are summed by reduceat
+                sums[nan] = np.add.reduceat(
+                    v[:, nan].T.ravel(), np.arange(0, nan.size * length, length))
+        r, p = r + runs, q
+    # the reduceat section: its first run is output slot r, product p; a
+    # chunk ends before the first run that starts REPLAY_CHUNK or more
+    # products past its own first run (starts[k0] == p0, so k1 > k0)
     starts = recipe.starts
-    n_runs = starts.shape[0]
-    out = np.empty(n_runs, dtype=np.float64)
-    # a chunk ends before the first run that starts REPLAY_CHUNK or more
-    # products past its own first run (starts[r0] == p0, so r1 > r0)
-    r0 = p0 = 0
-    while r0 < n_runs:
-        r1 = int(np.searchsorted(starts, p0 + REPLAY_CHUNK))
-        p1 = int(starts[r1]) if r1 < n_runs else recipe.n_products
-        v = (A.val[recipe.a_idx[p0:p1]] * B.val[recipe.b_idx[p0:p1]]).astype(
-            np.float64, copy=False)
-        np.add.reduceat(v, starts[r0:r1] - p0, out=out[r0:r1])
-        r0, p0 = r1, p1
-    return out
+    n_rest = starts.shape[0]
+    k0, p0 = 0, p
+    while k0 < n_rest:
+        k1 = int(np.searchsorted(starts, p0 + REPLAY_CHUNK))
+        p1 = int(starts[k1]) if k1 < n_rest else recipe.n_products
+        np.add.reduceat(_products(recipe, A, B, p0, p1), starts[k0:k1] - p0,
+                        out=out[r + k0:r + k1])
+        k0, p0 = k1, p1
+    if recipe.run_order is None:
+        return out
+    in_order = np.empty_like(out)
+    in_order[recipe.run_order] = out
+    return in_order
 
 
 def contract(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,

@@ -13,13 +13,17 @@ sit in front of it:
   pair of sparsity patterns, keyed by :func:`pattern_digest`.  A recipe
   is everything value-independent about a product -- the sort
   permutation, the duplicate-run boundaries and the output structure --
-  so a seen pattern costs a gather + multiply + ``reduceat`` instead of
+  so a seen pattern costs a gather + multiply + the run sums instead of
   the dominant stable sort, bit-identical by construction (the recipe
   tests hold it to the expansion + contraction behind
   :func:`~repro.sparse.reference.spgemm_reference`).  Fresh-value
   iterates, plan-cache replays (:func:`repro.engine.plan.replay_values`,
   which pass the digest their plan key already carries) and the tuner's
-  sketch all read it.
+  sketch all read it.  :func:`recipe_values` is its one value path: the
+  second value computation on a pattern swaps in the recipe laid out
+  for replay (:func:`~repro.sparse.expansion.lay_out_for_replay`), so
+  later replays sum short duplicate runs by length class, and a cold
+  multiply never pays the layout.
 
 Operand hashing lives here and nowhere else.  :func:`pattern_digest` is
 the only code that hashes structure bytes and :func:`_val_tag` the only
@@ -54,7 +58,7 @@ import numpy as np
 from repro import perf
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.expansion import (SortRecipe, build_sort_recipe,
-                                    values_from_recipe)
+                                    lay_out_for_replay, values_from_recipe)
 from repro.types import Precision
 
 #: Maximum retained operand pairs (strong references).  Sized to hold the
@@ -194,7 +198,8 @@ def recipe_for(A: CSRMatrix, B: CSRMatrix,
     impossible: a different pattern is a different array, hence a
     different digest.  The returned arrays are shared by every product
     computed from the same pattern; the output matrix built on them
-    freezes them like any other structure.
+    freezes them like any other structure.  This read leaves the stored
+    recipe as it is; only :func:`recipe_values` replaces it.
     """
     if digest is None:
         digest = pattern_fingerprint(A, B)
@@ -205,15 +210,41 @@ def recipe_for(A: CSRMatrix, B: CSRMatrix,
     return recipe
 
 
+def recipe_values(A: CSRMatrix, B: CSRMatrix, digest: str | None = None
+                  ) -> tuple[SortRecipe, np.ndarray]:
+    """The recipe for the operand patterns and the float64 output values
+    along it: the one value path of the recipe store.
+
+    The first value computation on a stored recipe replays it as built
+    and marks it valued; the second lays it out for replay
+    (:func:`~repro.sparse.expansion.lay_out_for_replay`) and swaps the
+    laid-out recipe in.  The layout is paid once per pattern whose values
+    are computed more than once, never by a cold multiply (tuned or not:
+    the tuner's sketch reads the recipe through :func:`recipe_for`).
+    The swapped-in recipe shares the output ``rpt``/``col`` arrays, and
+    recipes are never changed in place, so a caller still replaying the
+    one it fetched stays consistent.
+    """
+    if digest is None:
+        digest = pattern_fingerprint(A, B)
+    recipe = recipe_for(A, B, digest)
+    if not recipe.valued:
+        recipe = recipe._replace(valued=True)
+        _recipes.put(digest, recipe)
+    elif recipe.blocks is None:
+        recipe = lay_out_for_replay(recipe)
+        _recipes.put(digest, recipe)
+    return recipe, values_from_recipe(recipe, A, B)
+
+
 def compute_product(A: CSRMatrix, B: CSRMatrix) -> ProductResult:
     """The memoized expansion + contraction of ``A @ B``."""
     key = _key(A, B)
     hit = _cache.get(key)
     if hit is not None and hit.anchors[0] is A.rpt:
         return hit
-    recipe = recipe_for(A, B)
-    C = CSRMatrix(recipe.rpt, recipe.col, values_from_recipe(recipe, A, B),
-                  recipe.shape, check=False)
+    recipe, val = recipe_values(A, B)
+    C = CSRMatrix(recipe.rpt, recipe.col, val, recipe.shape, check=False)
     row_products = recipe.row_counts.astype(np.int64)
     result = ProductResult(anchors=(A.rpt, A.col, B.rpt, B.col),
                            row_products=row_products,

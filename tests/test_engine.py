@@ -292,6 +292,72 @@ class TestConcurrency:
         for m, r in zip(mats[:20], out):
             assert r.matrix.allclose(repro.spgemm_reference(m, m))
 
+    def test_threads_replaying_shared_patterns(self, monkeypatch):
+        """Eight threads, each holding its own engine, replay fresh values
+        on the same three patterns for a second, and call the recipe
+        store's value path between replays, while a recipe budget below
+        two recipes keeps evicting, rebuilding, marking and laying out
+        the same keys.  Every value keeps the bytes of a one-thread run,
+        and the store's total stays the size of what it retains; without
+        the store's lock, lost size updates or a ``KeyError`` fail it."""
+        import sys
+        import threading
+        import time
+
+        from repro import perf
+        from repro.sparse import expansion, product
+
+        monkeypatch.setattr(expansion, "MIN_CLASS_RUNS", 1)   # real layouts
+        patterns = [generators.banded(48, 4, rng=np.random.default_rng(i))
+                    for i in range(3)]
+        rng = np.random.default_rng(5)
+        iterates = [CSRMatrix(P.rpt, P.col,
+                              P.val * rng.uniform(0.5, 1.5, P.nnz), P.shape,
+                              check=False)
+                    for P in patterns for _ in range(4)]
+        eng = SpGEMMEngine("proposal")
+        want = [eng.multiply(M, M).matrix.val.tobytes() for M in iterates]
+        perf.clear_fast_caches()
+        sizes = [product.recipe_for(P, P).nbytes() for P in patterns]
+        perf.clear_fast_caches()
+        monkeypatch.setattr(product._recipes, "budget",
+                            max(sizes) + min(sizes) // 2)
+        start = threading.Barrier(8)
+        errors: list = []
+
+        def work(seed: int) -> None:
+            mine = SpGEMMEngine("proposal")
+            pick = np.random.default_rng(seed)
+            start.wait()
+            stop = time.perf_counter() + 1.0
+            try:
+                while time.perf_counter() < stop:
+                    i = int(pick.integers(len(iterates)))
+                    M = iterates[i]
+                    got = [mine.multiply(M, M).matrix.val]
+                    # the store's value path alone, as a replay reaches it
+                    got += [product.recipe_values(M, M)[1] for _ in range(4)]
+                    if any(v.tobytes() != want[i] for v in got):
+                        errors.append(f"thread {seed}: iterate {i} differs")
+            except Exception as e:   # surfaced by the assert below
+                errors.append(repr(e))
+
+        workers = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers)
+        assert errors == []
+        retained = [entry[0] for entry in product._recipes._entries.values()]
+        assert product._recipes.total == sum(r.nbytes() for r in retained)
+        assert len(retained) == 1
+
 
 class TestIntegration:
     def test_registry_and_top_level_dispatch(self, A):

@@ -3,15 +3,20 @@ contraction, sort recipes, symbolic nnz oracle)."""
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.errors import ShapeMismatchError
 from repro.sparse import expansion, generators
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.expansion import (build_sort_recipe, contract,
+from repro.sparse.expansion import (REPLAY_CHUNK, SHORT_RUN,
+                                    build_sort_recipe, contract,
                                     expand_products,
                                     intermediate_product_counts,
-                                    symbolic_row_nnz, values_from_recipe)
+                                    lay_out_for_replay, symbolic_row_nnz,
+                                    values_from_recipe)
 
 from tests.conftest import to_scipy
 
@@ -217,3 +222,183 @@ class TestSortRecipe:
     def test_fused_key_falls_back_beyond_int64(self):
         assert expansion._fused_key_dtype(2**31, 2**31) is None
         assert expansion._fused_key_dtype(2**31, 2**30) is np.int64
+
+
+def assert_same_bytes(got, want, run_lengths, what):
+    """Byte equality of two value arrays.  A failure names the first
+    mismatching run's length and the NumPy version: the short-run sums
+    rely on ``reduceat``'s order (the head, then a sequential sum of the
+    tail below 8 elements), so a failure on one CI leg alone points at
+    its NumPy rather than at the program."""
+    assert got.dtype == want.dtype and got.shape == want.shape, what
+    unit = f"u{want.dtype.itemsize}"
+    bad = np.flatnonzero(got.view(unit) != want.view(unit))
+    assert bad.size == 0, (
+        f"{what}: {bad.size} of {want.size} values differ, the first in a "
+        f"run of {run_lengths[bad[0]]} products (NumPy {np.__version__})")
+
+
+#: Value kinds of the boundary operands' rows, one product per entry:
+#: wide magnitudes (the order of the adds shows), negative zeros only,
+#: mixed signed zeros, infinities of both signs, NaNs of two payloads
+#: and signs, and exact cancellation.
+_KINDS = ("wide", "neg_zero", "zeros", "inf", "nan", "cancel")
+
+_NAN_A = np.array([0x7FF8000000000123], dtype=np.uint64).view(np.float64)[0]
+_NAN_B = np.array([0xFFF8000000000456], dtype=np.uint64).view(np.float64)[0]
+
+
+def _row_values(kind, length, rng):
+    if kind == "wide":
+        return rng.standard_normal(length) * 10.0 ** rng.integers(-12, 13,
+                                                                 length)
+    if kind == "neg_zero":
+        return np.full(length, -0.0)
+    if kind == "zeros":
+        return np.where(rng.random(length) < 0.5, 0.0, -0.0)
+    v = rng.standard_normal(length)
+    if kind == "inf":
+        v[rng.integers(length)] = np.inf
+        if length > 1 and length % 2:
+            v[rng.integers(length)] = -np.inf
+    elif kind == "nan":
+        v[rng.integers(length)] = _NAN_A
+        v[rng.integers(length)] = _NAN_B
+    else:   # cancel
+        v = np.resize([1e16, 1.0, -1e16, -1.0], length) * rng.choice(
+            [1.0, 3.0], length)
+    return v
+
+
+#: B's columns: each scales a whole run alike (so cancellation stays
+#: exact and zeros keep their sign) but rounds it differently.
+_SCALES = (1.0, 1.1, 1.3, 0.7)
+
+
+def run_length_operands(lengths, precision):
+    """``A @ B`` whose duplicate runs take each length in ``lengths`` (a
+    length listed twice gets twice the runs) four times per value kind:
+    A's row ``(length, kind)`` holds ``length`` nonzeros, and B is dense
+    with one constant per column."""
+    rng = np.random.default_rng(2017)
+    k = max(lengths)
+    rows = [(np.arange(n), _row_values(kind, n, rng))
+            for n in lengths for kind in _KINDS]
+    rpt = np.concatenate(([0], np.cumsum([n for n in lengths
+                                          for _ in _KINDS])))
+    A = CSRMatrix(rpt, np.concatenate([c for c, _ in rows]),
+                  np.concatenate([v for _, v in rows]), (len(rows), k))
+    B = CSRMatrix.from_dense(np.tile(_SCALES, (k, 1)))
+    return A.astype(precision), B.astype(precision)
+
+
+@st.composite
+def operand_pairs(draw, max_dim=12, max_nnz=60):
+    """``(A, B)`` of one precision whose values mix wide magnitudes with
+    signed zeros, infinities and NaNs, empty operands included."""
+    n, k, m = (draw(st.integers(1, max_dim)) for _ in range(3))
+    precision = draw(st.sampled_from(["single", "double"]))
+    value = st.one_of(st.floats(-1e30, 1e30),
+                      st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]))
+
+    def operand(rows, cols):
+        nnz = draw(st.integers(0, min(max_nnz, rows * cols)))
+        cells = draw(hnp.arrays(np.int64, nnz, elements=st.integers(
+            0, rows * cols - 1), unique=True))
+        vals = draw(hnp.arrays(np.float64, nnz, elements=value))
+        return COOMatrix(cells // cols, cells % cols, vals,
+                         (rows, cols)).to_csr().astype(precision)
+
+    return operand(n, k), operand(k, m)
+
+
+class TestReplayLayout:
+    """A laid-out recipe replays the same bytes as the recipe it came from
+    and as :func:`contract`, at every length-class boundary."""
+
+    @staticmethod
+    def _assert_layout_replays_bytes(A, B):
+        fresh = build_sort_recipe(A, B)
+        laid = lay_out_for_replay(fresh)
+        with np.errstate(invalid="ignore", over="ignore"):   # inf - inf
+            exp = expand_products(A, B)
+            C = contract(exp.rows, exp.cols, exp.vals, fresh.shape, A.dtype)
+            want = values_from_recipe(fresh, A, B)
+            got = values_from_recipe(laid, A, B)
+        lengths = np.diff(fresh.starts, append=fresh.n_products)
+        assert_same_bytes(want.astype(A.dtype), C.val, lengths,
+                          "fresh recipe vs contract")
+        assert_same_bytes(got, want, lengths, "laid-out vs fresh recipe")
+        assert laid.rpt is fresh.rpt and laid.col is fresh.col
+        assert laid.row_counts is fresh.row_counts
+        return fresh, laid
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    @pytest.mark.parametrize("chunk", [REPLAY_CHUNK, 64, 1])
+    def test_every_run_length_to_300(self, precision, chunk, monkeypatch):
+        # 1-300 crosses the short-run limit (8/9) and the pairwise sum's
+        # unrolled (16/17) and blocked (128/129/130) boundaries; the
+        # short lengths repeat so that every short class is blocked
+        monkeypatch.setattr(expansion, "REPLAY_CHUNK", chunk)
+        A, B = run_length_operands(
+            [*range(1, 301)] + [*range(1, SHORT_RUN + 1)] * 40, precision)
+        fresh, laid = self._assert_layout_replays_bytes(A, B)
+        lengths = np.diff(fresh.starts, append=fresh.n_products)
+        assert set(lengths.tolist()) == set(range(1, 301))
+        assert [n for n, _ in laid.blocks] == sorted(
+            n for n, _ in laid.blocks)
+        assert all(1 <= n <= SHORT_RUN and (n * runs <= chunk or runs == 1)
+                   for n, runs in laid.blocks)
+        n_short = int((lengths <= SHORT_RUN).sum())
+        assert sum(runs for _, runs in laid.blocks) == n_short
+        assert laid.starts.shape[0] == lengths.shape[0] - n_short
+        np.testing.assert_array_equal(np.sort(laid.run_order),
+                                      np.arange(lengths.shape[0]))
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_random_operands(self, rng, precision):
+        A = generators.random_csr(2000, 60, 9, rng=rng).astype(precision)
+        B = generators.random_csr(60, 5, 2, rng=rng).astype(precision)
+        assert self._assert_layout_replays_bytes(A, B)[1].blocks
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(operand_pairs())
+    def test_any_operands(self, pair):
+        with pytest.MonkeyPatch.context() as mp:   # block every class
+            mp.setattr(expansion, "MIN_CLASS_RUNS", 1)
+            self._assert_layout_replays_bytes(*pair)
+
+    def test_small_classes_stay_with_reduceat(self):
+        # 30 x 24 runs of one product are blocked, 10 x 24 of two are not
+        A, B = run_length_operands([1] * 30 + [2] * 10, "double")
+        fresh, laid = self._assert_layout_replays_bytes(A, B)
+        assert [n for n, _ in laid.blocks] == [1]
+        assert laid.starts.shape[0] == 240
+
+    def test_long_run_majority_keeps_its_arrays(self):
+        # 600 blocked runs are fewer than half of all: the scatter back to
+        # output order would cost more than the blocks save
+        A, B = run_length_operands([1] * 25 + [*range(9, 41)], "double")
+        fresh, laid = self._assert_layout_replays_bytes(A, B)
+        assert laid.blocks == () and laid.run_order is None
+        assert laid.a_idx is fresh.a_idx and laid.starts is fresh.starts
+
+    def test_no_products(self, rng):
+        A = generators.random_csr(6, 8, 3, rng=rng)
+        fresh, laid = self._assert_layout_replays_bytes(
+            A, CSRMatrix.empty((8, 5)))
+        assert laid.blocks == () and laid.run_order is None
+        assert laid.a_idx is fresh.a_idx
+
+    def test_only_long_runs_keep_their_arrays(self):
+        A, B = run_length_operands(range(SHORT_RUN + 1, 40), "double")
+        fresh, laid = self._assert_layout_replays_bytes(A, B)
+        assert laid.blocks == () and laid.run_order is None
+        assert laid.a_idx is fresh.a_idx and laid.starts is fresh.starts
+
+    def test_nbytes_counts_the_run_order(self, small_banded):
+        fresh = build_sort_recipe(small_banded, small_banded)
+        laid = lay_out_for_replay(fresh)
+        assert laid.nbytes() == (fresh.nbytes() + laid.run_order.nbytes
+                                 - fresh.starts.nbytes + laid.starts.nbytes)

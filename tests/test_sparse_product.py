@@ -13,9 +13,9 @@ import pytest
 
 import repro
 from repro import perf
-from repro.sparse import generators, product
+from repro.sparse import expansion, generators, product
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.expansion import build_sort_recipe
+from repro.sparse.expansion import build_sort_recipe, lay_out_for_replay
 from repro.sparse.product import (clear_cache, compute_product,
                                   pattern_digest, pattern_fingerprint,
                                   product_for, recipe_for, _cache)
@@ -92,6 +92,19 @@ def builds(monkeypatch):
         return build_sort_recipe(A, B)
 
     monkeypatch.setattr(product, "build_sort_recipe", counted)
+    return calls
+
+
+@pytest.fixture
+def layouts(monkeypatch):
+    """Counts the recipe store's re-layouts for replay."""
+    calls = []
+
+    def counted(recipe):
+        calls.append(recipe.shape)
+        return lay_out_for_replay(recipe)
+
+    monkeypatch.setattr(product, "lay_out_for_replay", counted)
     return calls
 
 
@@ -187,6 +200,63 @@ class TestRecipeStore:
         assert len(product._recipes) == 1
         assert product._recipes.total == big.nbytes()
         assert recipe_for(P2, P2) is big and len(builds) == 2
+
+    def test_cold_multiplies_lay_out_nothing(self, builds, layouts):
+        """The four paper algorithms squaring one matrix, as a figure pass
+        does: one recipe build, one value computation, no layout."""
+        A = self._mats(1)[0]
+        for algo in ("proposal", "cusparse", "cusp", "bhsparse"):
+            repro.multiply(A, A, algorithm=algo, precision="single")
+        assert len(builds) == 1 and layouts == []
+
+    def test_tuned_cold_multiply_lays_out_nothing(self, builds, layouts):
+        """The tuner's sketch builds the recipe and the multiply computes
+        its values: a read plus one value computation, so no layout."""
+        from repro.options import SpGEMMOptions, runner_for
+
+        A = self._mats(1)[0]
+        runner_for(SpGEMMOptions(tune=True)).multiply(A, A)
+        assert len(builds) == 1 and layouts == []
+
+    def test_plan_cached_iterates_lay_out_once(self, builds, layouts):
+        """Eight fresh-value iterates through a held plan-cached runner:
+        the first replay lays the recipe out and swaps it in, the rest
+        build and lay out nothing, and every value keeps its bytes."""
+        from repro.options import SpGEMMOptions, runner_for
+
+        A = generators.banded(400, 10, rng=np.random.default_rng(0))
+        runner = runner_for(SpGEMMOptions(engine=True, tune=True))
+        first = runner.multiply(A, A).matrix
+        fresh = recipe_for(A, A)
+        assert len(builds) == 1 and layouts == [] and fresh.blocks is None
+        values = np.random.default_rng(1)
+        for k in range(8):
+            M = _fresh(A, values)
+            got = runner.multiply(M, M).matrix
+            assert got.val.tobytes() == spgemm_reference(M, M).val.tobytes()
+            assert len(builds) == 1 and len(layouts) == 1, f"iterate {k}"
+        laid = recipe_for(A, A)
+        assert runner.inner.stats().hits == 8
+        assert laid.blocks and laid.valued
+        # the swap keeps the output structure: no rebuild, the same
+        # rpt/col arrays the cold run's matrix (and its plan) hold
+        assert laid.rpt is fresh.rpt is first.rpt
+        assert laid.col is fresh.col is first.col
+        assert product._recipes.total == laid.nbytes()
+        assert len(product._recipes) == 1
+
+    def test_byte_total_follows_the_swaps(self, layouts, monkeypatch):
+        """Laid-out recipes replace fresh ones under the same keys: the
+        store's total stays the sum of what it retains."""
+        monkeypatch.setattr(expansion, "MIN_CLASS_RUNS", 1)
+        mats = self._mats(3)
+        values = np.random.default_rng(0)
+        for P in mats + mats:
+            compute_product(_fresh(P, values), P)
+        assert len(layouts) == 3
+        retained = [recipe_for(P, P) for P in mats]
+        assert all(r.blocks for r in retained)
+        assert product._recipes.total == sum(r.nbytes() for r in retained)
 
     def test_plan_hit_hashes_neither_pattern_twice_nor_values(
             self, hashes):
