@@ -5,10 +5,13 @@ know about one architecture family:
 
 * the **spec type** and its named **presets** (``DeviceSpec``/``P100``
   for the GPU, ``CPUSpec``/``KNL64`` for the CPU);
-* the **scheduler** (``simulate_phase``) and the analytic **cost model**
-  (``kernel_duration_alone``) -- both consuming the shared
+* the **scheduler** (``simulate_phase``), consuming the shared
   :class:`~repro.gpu.kernel.KernelLaunch` vocabulary, so
-  :class:`~repro.base.RunContext` accounting is backend-agnostic;
+  :class:`~repro.base.RunContext` accounting is backend-agnostic.  Both
+  backends list-schedule a serialized phase with one routine,
+  :func:`repro.gpu.scheduler.list_schedule`, and differ only in the lane
+  count per kernel (resident blocks on the GPU, worker threads on the
+  CPU) and the issue gap (kernel launch or fork/join);
 * the **native algorithms** of the architecture and how to translate a
   foreign algorithm name onto it (heterogeneous ``dist`` pools);
 * its **tuning families**, declared as :class:`TuningFamily` data: the
@@ -21,8 +24,8 @@ Backends register with :mod:`repro.backend.registry`; dispatch is by
 ``isinstance`` on the spec (:func:`~repro.backend.registry.
 backend_for_spec`), so existing call sites that pass a raw spec keep
 working unchanged -- and, for the GPU, keep returning bit-identical
-schedules, because the GPU backend's methods *are* the pre-existing
-module functions.
+schedules, because the GPU backend's scheduler *is* the pre-existing
+module function.
 """
 
 from __future__ import annotations
@@ -93,17 +96,13 @@ class Backend:
 
     # -- execution model -----------------------------------------------------
 
-    #: Discrete-event scheduler with the :func:`repro.gpu.scheduler.
+    #: Phase scheduler with the :func:`repro.gpu.scheduler.
     #: simulate_phase` signature: ``(kernels, spec, precision, *,
     #: start_time, use_streams, faults) -> PhaseSchedule``.  Declared as
     #: an attribute (not an abstract method) so a backend may install a
     #: pre-existing module function unchanged -- the GPU backend does,
     #: which is what makes the refactor bit-identical by construction.
     simulate_phase: Callable[..., "PhaseSchedule"]
-
-    #: Analytic makespan of one kernel alone: ``(kernel, spec,
-    #: precision) -> float`` (the tuner's sketch-scoring primitive).
-    kernel_duration_alone: Callable[..., float]
 
     # -- heterogeneous pools --------------------------------------------------
 

@@ -1,6 +1,7 @@
 """The CPU backend: multicore machines behind the abstraction.
 
-Scheduler and cost model come from :mod:`repro.cpu`; the one tuning
+The scheduler comes from :mod:`repro.cpu.cost` -- the GPU's lane
+schedule with a region's worker threads as its lanes; the one tuning
 family searches the CPU-native parameter space (:class:`~repro.cpu.
 params.CPUParams`: threads, block rows, bin count) -- a genuinely
 different grid from the GPU's Table I, which is the point of having a
@@ -12,9 +13,8 @@ imports :mod:`repro.cpu.algorithms` lazily: that module derives from
 from __future__ import annotations
 
 from repro.backend.base import Backend, TuningFamily
-from repro.cpu.cost import kernel_duration_alone
+from repro.cpu.cost import simulate_cpu_phase
 from repro.cpu.device import CPU_PRESETS, KNL64, CPUSpec
-from repro.cpu.scheduler import simulate_cpu_phase
 
 #: Architecture efficiency factor on the bandwidth-based work weight:
 #: a CPU sustains roughly half a GPU's SpGEMM throughput per GB/s of
@@ -37,7 +37,6 @@ class CPUBackend(Backend):
     fallback_algorithm = "heap-cpu"
 
     simulate_phase = staticmethod(simulate_cpu_phase)
-    kernel_duration_alone = staticmethod(kernel_duration_alone)
 
     def work_weight(self, spec: CPUSpec) -> float:
         return float(spec.mem_bandwidth_gbps) * CPU_WEIGHT_EFFICIENCY

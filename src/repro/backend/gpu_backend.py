@@ -1,9 +1,8 @@
 """The GPU backend: the paper's Pascal model behind the abstraction.
 
-This is a thin shell, by design: ``simulate_phase`` and
-``kernel_duration_alone`` *are* the pre-existing module functions of
-:mod:`repro.gpu.scheduler` / :mod:`repro.gpu.cost` (installed as
-staticmethods, not wrapped), and the presets are the same frozen
+This is a thin shell, by design: ``simulate_phase`` *is* the module
+function of :mod:`repro.gpu.scheduler` (installed as a staticmethod,
+not wrapped), and the presets are the same frozen
 :data:`~repro.gpu.device.DEVICE_PRESETS` objects -- so every schedule,
 plan-cache key and tuning-store entry produced through the backend is
 bit-identical to what the direct imports produced before the
@@ -16,7 +15,6 @@ sit above :mod:`repro.base` in the import order.
 from __future__ import annotations
 
 from repro.backend.base import Backend, TuningFamily
-from repro.gpu.cost import kernel_duration_alone
 from repro.gpu.device import DEVICE_PRESETS, P100, DeviceSpec
 from repro.gpu.scheduler import simulate_phase
 
@@ -32,10 +30,9 @@ class GPUBackend(Backend):
     default_algorithm = "proposal"
     fallback_algorithm = "cusparse"
 
-    # the pre-existing module functions, unwrapped: bit-identity holds
-    # because these *are* the objects every call site used before
+    # the module function, unwrapped: bit-identity holds because this
+    # *is* the object every call site used before
     simulate_phase = staticmethod(simulate_phase)
-    kernel_duration_alone = staticmethod(kernel_duration_alone)
 
     # -- tuning ---------------------------------------------------------------
 

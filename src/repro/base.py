@@ -65,7 +65,7 @@ class RunContext:
     """
 
     def __init__(self, algorithm: str, matrix_name: str, device: DeviceSpec,
-                 precision: Precision, *, charge_time: bool = True,
+                 precision: Precision, *,
                  faults: FaultPlan | None = None,
                  numeric_only: bool = False,
                  observed: bool | None = None) -> None:
@@ -89,8 +89,7 @@ class RunContext:
         self.observed = (OBS.observed_default() if observed is None
                          else bool(observed))
         self.events = EventBus()
-        self.memory = DeviceMemory(device, charge_time=charge_time,
-                                   faults=faults,
+        self.memory = DeviceMemory(device, faults=faults,
                                    observer=self._on_memory_event)
         self.clock = 0.0
         self.phase_seconds: dict[str, float] = {p: 0.0 for p in PHASES}

@@ -11,8 +11,8 @@ standard library profiler:
 * :func:`render_stats` -- format an existing profile the same way.
 
 The CLI exposes it as ``python -m repro multiply --profile [FILE]``, and
-the CI perf job attaches a profile of the E16 pass as an artifact when
-the wall-clock fence trips.
+the CI bench-regression job attaches a profile of the E16 pass as an
+artifact when the wall-clock fence trips.
 """
 
 from __future__ import annotations

@@ -243,13 +243,15 @@ class HashSpGEMM(SpGEMMAlgorithm):
         for buf in (d_num_groups, *buffers, d_products):
             ctx.free(buf)
 
-        row_nnz, table_stats = prod.row_nnz, num_plan.table_stats
+        table_stats = num_plan.table_stats
         return dict(
             calc_kernels=num_plan.kernels,
             work_name="g0_numeric_tables" if g0_tables is not None else None,
             work_bytes=num_plan.global_table_bytes,
+            # the counts the cold run grouped by: estimated bounds in
+            # estimate mode, the true nnz in exact mode
             records=lambda: [
-                (OBS.GROUPING, "numeric", num_groups.stats(row_nnz)),
+                (OBS.GROUPING, "numeric", num_groups.stats(counts)),
                 (OBS.HASH_STATS, "numeric", table_stats)],
             # both group-row arrays and the per-row counts
             aux_bytes=2 * num_groups.device_bytes() + 4 * (n_rows + 1))

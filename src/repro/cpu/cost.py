@@ -28,6 +28,14 @@ reinterprets them for a cache-based multicore:
 Components are summed, not maxed -- the same deliberate, conservative
 choice as :mod:`repro.gpu.cost`, keeping the model monotone in every
 work column and identical in shape across backends.
+
+Scheduling (:func:`simulate_cpu_phase`) is the GPU's: chunks go FIFO
+onto free hardware-thread slots, capped by the region's own worker
+count, so a single monster row-block holds one thread hostage while the
+rest drain -- the load-imbalance pathology the GPU model exhibits, and
+the reason the CPU algorithms chunk rows finely.  Every CPU kernel
+builder issues its regions on one stream, so every CPU phase serializes
+and is list-scheduled by :func:`repro.gpu.scheduler.list_schedule`.
 """
 
 from __future__ import annotations
@@ -35,7 +43,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cpu.device import CPUSpec
+from repro.errors import SchedulerError
+from repro.gpu.faults import FaultPlan
 from repro.gpu.kernel import KernelLaunch
+from repro.gpu.scheduler import (PhaseSchedule, list_schedule,
+                                 raise_injected_faults)
 from repro.types import Precision
 
 
@@ -81,15 +93,46 @@ def chunk_durations(kernel: KernelLaunch, spec: CPUSpec,
     return cycles / spec.clock_hz
 
 
+def simulate_cpu_phase(kernels: list[KernelLaunch], spec: CPUSpec,
+                       precision: Precision | str, *,
+                       start_time: float = 0.0, use_streams: bool = True,
+                       faults: FaultPlan | None = None) -> PhaseSchedule:
+    """Schedule the serialized regions ``kernels`` on ``spec``.
+
+    Region ``i`` is issued after ``i + 1`` fork/joins (``fork_join_us``
+    each), starts once its predecessor has finished and owns
+    :func:`workers_for` lanes.  A phase with launches on two or more
+    streams raises :class:`SchedulerError` (regions do not co-schedule)
+    unless ``use_streams=False`` serializes it.  Fault plans are checked
+    first, as the GPU scheduler does; one
+    :class:`~repro.gpu.timeline.KernelRecord` per region.
+    """
+    if not kernels:
+        return PhaseSchedule(start=start_time, end=start_time, records=[])
+    raise_injected_faults(kernels, faults)
+    if use_streams and any(k.stream != kernels[0].stream for k in kernels):
+        raise SchedulerError(
+            "CPU regions do not co-schedule: launches on streams "
+            f"{sorted({k.stream for k in kernels})} "
+            "(pass use_streams=False to serialize them)")
+    p = Precision.parse(precision)
+    records = list_schedule(
+        kernels, [chunk_durations(k, spec, p) for k in kernels],
+        [workers_for(k, spec) for k in kernels], spec.fork_join_us * 1e-6,
+        start_time, use_streams)
+    return PhaseSchedule(start=start_time, end=max(r.end for r in records),
+                         records=records)
+
+
 def kernel_duration_alone(kernel: KernelLaunch, spec: CPUSpec,
                           precision: Precision | str) -> float:
     """Makespan of one kernel running alone on the CPU (no overlap).
 
     Lower-bound list-scheduling estimate: chunks spread over the
     region's worker threads; makespan is the max of the average-load
-    bound and the longest chunk.  The event scheduler gives the exact
-    figure; this helper exists for quick analytic checks (the tuner's
-    sketch scoring).
+    bound and the longest chunk.  :func:`simulate_cpu_phase` gives the
+    exact figure; this helper exists for quick analytic checks (the
+    tuner's sketch scoring).
     """
     durations = chunk_durations(kernel, spec, precision)
     slots = workers_for(kernel, spec)

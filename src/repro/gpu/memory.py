@@ -48,10 +48,6 @@ class DeviceMemory:
     ----------
     device:
         Supplies the capacity and the malloc/free cost model.
-    charge_time:
-        When False, allocations are accounted for peak/OOM purposes but add
-        no simulated time (used for the full-scale analytic memory planner,
-        where only sizes matter).
     faults:
         Optional :class:`~repro.gpu.faults.FaultPlan` consulted on every
         allocation: it can shrink the effective capacity or force an OOM
@@ -63,11 +59,10 @@ class DeviceMemory:
         to mirror memory traffic onto its observability event bus.
     """
 
-    def __init__(self, device: DeviceSpec, *, charge_time: bool = True,
+    def __init__(self, device: DeviceSpec, *,
                  faults: FaultPlan | None = None,
                  observer=None) -> None:
         self.device = device
-        self.charge_time = charge_time
         self.faults = faults
         self.observer = observer
         self.in_use = 0
@@ -123,8 +118,7 @@ class DeviceMemory:
         self.in_use += nbytes
         self.peak = max(self.peak, self.in_use)
         self.n_allocs += 1
-        if self.charge_time:
-            self.malloc_seconds += self.device.malloc_seconds(nbytes)
+        self.malloc_seconds += self.device.malloc_seconds(nbytes)
         self._record(AllocationEvent("alloc", name, nbytes, self.in_use))
         return a
 
@@ -145,8 +139,7 @@ class DeviceMemory:
         allocation.freed = True
         del self._live[id(allocation)]
         self.in_use -= allocation.nbytes
-        if self.charge_time:
-            self.free_seconds += self.device.free_seconds()
+        self.free_seconds += self.device.free_seconds()
         self._record(
             AllocationEvent("free", allocation.name, allocation.nbytes, self.in_use))
 

@@ -21,6 +21,11 @@ each block at the earliest lane-free time and the SM it lands on never
 changes a timestamp.  Phases with launches on two or more streams (the
 proposal's per-group kernels, Section IV-C) run the discrete-event loop,
 which tracks per-SM threads, shared memory and block slots.
+
+:func:`list_schedule` takes the lane counts and the issue gap as
+arguments, so it is the one list-scheduling routine of both backends:
+the CPU backend (:func:`repro.cpu.cost.simulate_cpu_phase`) runs every
+phase through it with a region's worker threads as its lanes.
 """
 
 from __future__ import annotations
@@ -167,14 +172,7 @@ def simulate_phase(kernels: list[KernelLaunch], device: DeviceSpec,
     """
     if not kernels:
         return PhaseSchedule(start=start_time, end=start_time, records=[])
-
-    if faults is not None:
-        for k in kernels:
-            event = faults.check_kernel(k.name)
-            if event is not None:
-                raise HashTableError(
-                    f"hash table full in kernel {k.name!r} "
-                    f"(injected: {event.rule})")
+    raise_injected_faults(kernels, faults)
 
     p = Precision.parse(precision)
     key: bytes | None = None
@@ -201,34 +199,48 @@ def simulate_phase(kernels: list[KernelLaunch], device: DeviceSpec,
     return PhaseSchedule(start=start_time, end=end, records=records)
 
 
-def _lane_schedule(kernels: list[KernelLaunch], durations: list[np.ndarray],
-                   device: DeviceSpec, start_time: float,
-                   use_streams: bool) -> list[KernelRecord]:
+def raise_injected_faults(kernels: list[KernelLaunch],
+                          faults: FaultPlan | None) -> None:
+    """Raise :class:`HashTableError` at the first launch ``faults`` fails.
+
+    Both backends' schedulers call this first, before any memo lookup
+    or simulation: ``check_kernel`` is stateful.
+    """
+    if faults is None:
+        return
+    for k in kernels:
+        event = faults.check_kernel(k.name)
+        if event is not None:
+            raise HashTableError(
+                f"hash table full in kernel {k.name!r} "
+                f"(injected: {event.rule})")
+
+
+def list_schedule(kernels: list[KernelLaunch], durations: list[np.ndarray],
+                  lanes: list[int], issue_gap: float, start_time: float,
+                  use_streams: bool) -> list[KernelRecord]:
     """Records of a phase whose launches all serialize, without events.
 
-    Kernel ``i`` is ready at ``max(predecessor's finish, its issue
-    time)`` and then owns an empty device: ``blocks_per_sm x sm_count``
-    identical lanes.  Blocks start in index order at the earliest
-    lane-free time (``now + d``, the event loop's float expression), so
-    the records equal :func:`_event_loop`'s bit for bit.
+    Kernel ``i`` is issued at ``start_time + (i + 1) * issue_gap``, is
+    ready at ``max(predecessor's finish, its issue time)`` and then owns
+    ``lanes[i]`` identical lanes.  Blocks start in index order at the
+    earliest lane-free time (``now + d``, the event loop's float
+    expression), so on the GPU the records equal :func:`_event_loop`'s
+    bit for bit.
     """
     if sum(len(d) for d in durations) + len(kernels) > MAX_EVENTS:
         raise SchedulerError("event budget exceeded; runaway simulation")
-    issue_gap = device.kernel_launch_us * 1e-6
     records = []
     finish = -math.inf
-    for i, (k, d) in enumerate(zip(kernels, durations)):
+    for i, (k, d, n) in enumerate(zip(kernels, durations, lanes)):
         if d.shape[0] == 0:
             raise SchedulerError(
                 f"{len(kernels) - i} kernels never completed "
                 "(dispatch deadlock)")
         ready = max(finish, start_time + (i + 1) * issue_gap)
-        lanes = occupancy_for(device, k.block_threads,
-                              k.shared_bytes_per_block).blocks_per_sm \
-            * device.sm_count
-        h = (ready + d[:lanes]).tolist()
+        h = (ready + d[:n]).tolist()
         heapq.heapify(h)
-        for x in d[lanes:].tolist():
+        for x in d[n:].tolist():
             heapq.heapreplace(h, h[0] + x)
         finish = max(h)
         records.append(KernelRecord(
@@ -237,6 +249,20 @@ def _lane_schedule(kernels: list[KernelLaunch], durations: list[np.ndarray],
             start=float(ready), end=finish, n_blocks=d.shape[0],
             block_seconds=float(d.sum())))
     return records
+
+
+def _lane_schedule(kernels: list[KernelLaunch], durations: list[np.ndarray],
+                   device: DeviceSpec, start_time: float,
+                   use_streams: bool) -> list[KernelRecord]:
+    """:func:`list_schedule` on ``device``: each kernel owns an empty
+    device, ``blocks_per_sm x sm_count`` lanes, and each issue costs
+    ``kernel_launch_us``."""
+    lanes = [occupancy_for(device, k.block_threads,
+                           k.shared_bytes_per_block).blocks_per_sm
+             * device.sm_count for k in kernels]
+    return list_schedule(kernels, durations, lanes,
+                         device.kernel_launch_us * 1e-6, start_time,
+                         use_streams)
 
 
 def _event_loop(kernels: list[KernelLaunch], durations: list[np.ndarray],

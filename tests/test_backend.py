@@ -119,11 +119,6 @@ class TestGPUBitIdentity:
 
         assert GPU_BACKEND.simulate_phase is simulate_phase
 
-    def test_cost_model_is_the_module_function(self):
-        from repro.gpu.cost import kernel_duration_alone
-
-        assert GPU_BACKEND.kernel_duration_alone is kernel_duration_alone
-
     def test_presets_are_the_same_objects(self):
         assert GPU_BACKEND.presets is DEVICE_PRESETS
         assert GPU_BACKEND.default_preset is P100

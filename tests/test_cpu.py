@@ -14,7 +14,12 @@ import pytest
 import repro
 from repro.core.spgemm import HashSpGEMM
 from repro.cpu import KNL64, XEON24, CPUParams
+from repro.cpu import cost as cpu_cost
 from repro.cpu.algorithms import HashCPUSpGEMM, HeapCPUSpGEMM, PropBlockSpGEMM
+from repro.cpu.cost import chunk_durations, simulate_cpu_phase, workers_for
+from repro.errors import SchedulerError
+from repro.gpu import scheduler
+from repro.gpu.kernel import BlockWorks, KernelLaunch
 from repro.obs.metrics import check_conservation
 from repro.sparse import generators
 from repro.sparse.reference import spgemm_reference
@@ -177,3 +182,58 @@ class TestResilience:
             algorithm="hash-cpu", resilient=True, device="KNL64"))
         check_conservation(r.report)
         assert r.report.algorithm in ("hash-cpu", "heap-cpu")
+
+
+def _region(n_chunks, flops, *, workers=4, stream=0, name="r"):
+    """A parallel region of ``n_chunks`` identical chunks."""
+    return KernelLaunch(name=name, block_threads=workers,
+                        shared_bytes_per_block=0,
+                        works=BlockWorks(n_blocks=n_chunks,
+                                         flops=np.full(n_chunks, flops)),
+                        stream=stream)
+
+
+class TestLaneSchedule:
+    """CPU phases run through the GPU's list schedule: a region owns
+    :func:`workers_for` lanes and each issue costs one fork/join."""
+
+    def test_one_list_scheduling_routine(self):
+        assert cpu_cost.list_schedule is scheduler.list_schedule
+
+    def test_regions_below_at_and_above_the_worker_count(self):
+        # four workers each: 3 chunks leave a lane idle, 4 fill one wave
+        # and 9 take three; the first region is too short to outlast the
+        # second fork/join, the second outlasts the third
+        regions = [_region(3, 0.0, name="below"), _region(4, 4e5, name="at"),
+                   _region(9, 4e5, name="above")]
+        assert [workers_for(k, KNL64) for k in regions] == [4, 4, 4]
+        d = [chunk_durations(k, KNL64, "double") for k in regions]
+        assert all(np.all(x == x[0]) for x in d)
+        start, gap = 1e-3, KNL64.fork_join_us * 1e-6
+        r0 = start + gap
+        e0 = r0 + d[0][0]
+        r1 = start + 2 * gap
+        e1 = r1 + d[1][0]
+        r2 = e1
+        e2 = ((r2 + d[2][0]) + d[2][0]) + d[2][0]
+        assert e0 < r1 and start + 3 * gap < e1
+
+        sched = simulate_cpu_phase(regions, KNL64, "double", start_time=start)
+        assert [(r.name, r.start, r.end, r.n_blocks)
+                for r in sched.records] == [("below", r0, e0, 3),
+                                            ("at", r1, e1, 4),
+                                            ("above", r2, e2, 9)]
+        assert sched.start == start and sched.end == e2
+
+    def test_two_streams_raise_unless_serialized(self):
+        regions = [_region(5, 4e5, stream=1, name="a"),
+                   _region(5, 4e5, stream=2, name="b")]
+        with pytest.raises(SchedulerError, match=r"streams \[1, 2\]"):
+            simulate_cpu_phase(regions, KNL64, "double")
+        a, b = simulate_cpu_phase(regions, KNL64, "double",
+                                  use_streams=False).records
+        (d,) = set(chunk_durations(regions[0], KNL64, "double"))
+        gap = KNL64.fork_join_us * 1e-6
+        assert (a.stream, b.stream) == (0, 0)
+        assert (a.start, a.end) == (gap, (gap + d) + d)
+        assert (b.start, b.end) == (a.end, (a.end + d) + d)

@@ -14,7 +14,7 @@ runs so plain tier-1 keeps differential coverage.
 The GPU scheduler has two exact implementations, and the fast subset
 also runs every runner's GPU phases through the discrete-event loop
 with the phase memo missing, against the default lane schedule and
-memo (the CPU leaves keep their own scheduler).
+memo (the CPU leaves' phases take the shared list schedule either way).
 """
 
 import numpy as np

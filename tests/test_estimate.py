@@ -285,6 +285,23 @@ class TestEngineCompose:
         r = multiply(skewed, skewed, symbolic="estimate", engine=True)
         _same(r, multiply(skewed, skewed))
 
+    def test_replay_re_emits_the_cold_numeric_grouping(self):
+        """A replay re-emits the numeric grouping its cold run emitted:
+        each group's range of the bounds it was grouped by, not of the
+        true nnz (which differ here: g5 reads 17..196 against 15..143)."""
+        A = generators.power_law(220, 5.0, 80, rng=4)
+        eng = SpGEMMEngine(HashSpGEMM(symbolic="estimate"))
+
+        def numeric_grouping(r):
+            return [e.attrs for e in r.report.events
+                    if e.kind == OBS.GROUPING and e.name == "numeric"]
+
+        cold = eng.multiply(A, A, precision="double")
+        warm = eng.multiply(A, A, precision="double")
+        assert warm.report.numeric_only and not cold.report.numeric_only
+        assert numeric_grouping(cold) != []
+        assert numeric_grouping(warm) == numeric_grouping(cold)
+
 
 class TestResilientCompose:
     def test_clean_estimate_run_no_downgrade(self, skewed):

@@ -79,11 +79,6 @@ class TestTimeAccounting:
         mem.alloc("a", 512 * 1024)
         assert mem.malloc_seconds > before
 
-    def test_charge_time_false_is_free(self):
-        m = DeviceMemory(P100, charge_time=False)
-        m.alloc("a", 1 << 20)
-        assert m.malloc_seconds == 0.0
-
     def test_event_trace(self, mem):
         a = mem.alloc("a", 10)
         mem.free(a)

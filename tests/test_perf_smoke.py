@@ -1,7 +1,8 @@
-"""Real-seconds smoke tests for the vectorized core (``-m perf``).
+"""Real-seconds smoke tests for the vectorized core (marked ``perf``).
 
-Tier-1 stays wall-clock-free; these tests run only under ``-m perf``
-(the CI perf job) and hold two properties:
+Tier-1 deselects no marker, so these run in every tier-1 run (CI's
+``tier1`` job); ``-m perf`` selects them alone.  They hold two
+properties:
 
 * the E16 iterative mini-suite completes under a *generous* real-seconds
   ceiling -- a smoke alarm for order-of-magnitude regressions, not a

@@ -2,10 +2,8 @@
 matrix statistics."""
 
 import gc
-import os
 import sys
 import threading
-import time
 import weakref
 
 import numpy as np
@@ -382,47 +380,47 @@ class TestFingerprintMemo:
         assert len(product._fingerprints) == 0
 
     def test_concurrent_callers_agree_with_fresh_hashes(self, monkeypatch):
-        """More threads than cores, a 1 us switch interval and a memo
-        small enough to evict all the time: every memoized digest equals
-        a fresh :func:`pattern_digest`, and every thread finishes."""
-        monkeypatch.setattr(product._fingerprints, "budget", 4)
+        """Eight threads make 10000 calls each over 12 structures into a
+        4-entry memo under a 1 us switch interval, so puts keep evicting
+        while other threads read.  Without the memo's lock two threads
+        pop the same LRU entry (a ``KeyError``) or lose a size update;
+        with it every digest equals a fresh :func:`pattern_digest` and
+        the memo's size stays its entry count."""
         pool = [generators.random_csr(30, 30, 1 + k % 4,
                                       rng=np.random.default_rng(k))
                 for k in range(12)]
-        expected = {(i, j): pattern_digest(pool[i], pool[j])
-                    for i in range(12) for j in range(12)}
+        expected = [pattern_digest(M) for M in pool]
+        picks = [np.random.default_rng(seed).integers(12, size=10000).tolist()
+                 for seed in range(8)]
+        memo = perf.LRUCache(4)
+        monkeypatch.setattr(product, "_fingerprints", memo)
+        start = threading.Barrier(8)
         errors: list[str] = []
-        stop = time.perf_counter() + 0.5
 
         def worker(seed: int) -> None:
-            rng = np.random.default_rng(seed)
+            start.wait()
             try:
-                while time.perf_counter() < stop:
-                    for i, j in rng.integers(12, size=(64, 2)).tolist():
-                        got = pattern_fingerprint(pool[i], pool[j])
-                        if got != expected[i, j]:
-                            errors.append(f"mismatch in thread {seed}")
-                    M = generators.random_csr(30, 30, 2, rng=rng)
-                    if pattern_fingerprint(M) != pattern_digest(M):
-                        errors.append(f"fresh mismatch in thread {seed}")
+                for i in picks[seed]:
+                    if pattern_fingerprint(pool[i]) != expected[i]:
+                        errors.append(f"thread {seed}: structure {i} differs")
             except Exception as e:      # surfaced by the assert below
                 errors.append(repr(e))
 
-        threads = [threading.Thread(target=worker, args=(i,), daemon=True)
-                   for i in range((os.cpu_count() or 1) + 2)]
+        threads = [threading.Thread(target=worker, args=(k,), daemon=True)
+                   for k in range(8)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for t in threads:
                 t.start()
             for t in threads:
-                t.join(timeout=30.0)
+                t.join(timeout=60.0)
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
         # a lost update on the memo's bookkeeping would break this
-        assert product._fingerprints.total == len(product._fingerprints) <= 4
+        assert len(memo) <= 4 and memo.total == len(memo)
 
 
 class TestStats:
