@@ -11,10 +11,13 @@ fully dense row).
 The full corpus sweep is marked ``corpus`` (slow); a fast subset always
 runs so plain tier-1 keeps differential coverage.
 
-The GPU scheduler has two exact implementations, and the fast subset
-also runs every runner's GPU phases through the discrete-event loop
-with the phase memo missing, against the default lane schedule and
-memo (the CPU leaves' phases take the shared list schedule either way).
+The GPU scheduler has two exact implementations, the lane schedule of
+serialized phases and the fixed-point event loop of multi-stream ones.
+The fast subset also runs every runner's GPU phases through the
+per-block oracle loop of :mod:`tests.scheduler_oracle` with the phase
+memo missing, against the default schedulers and memo (the CPU leaves'
+phases take the shared list schedule either way), and the whole corpus
+holds every multi-stream phase's records to the oracle's.
 """
 
 import numpy as np
@@ -29,6 +32,7 @@ from repro.sparse.csr import CSRMatrix
 from repro.sparse.reference import spgemm_reference
 
 from tests.conftest import RUNNERS
+from tests.scheduler_oracle import event_loop
 
 ALL_ALGOS = sorted(RUNNERS)
 
@@ -121,11 +125,33 @@ def _cold_report(algo: str, A: CSRMatrix):
 def test_event_loop_matches_lane_schedule(algo, gen, rng, monkeypatch):
     A = CORPUS[gen](rng)
     lanes = _cold_report(algo, A)
-    monkeypatch.setattr(scheduler, "_lane_schedule", scheduler._event_loop)
+    monkeypatch.setattr(scheduler, "_lane_schedule", event_loop)
+    monkeypatch.setattr(scheduler, "_event_loop", event_loop)
     monkeypatch.setattr(scheduler._memo, "get", lambda key: None)
     events = _cold_report(algo, A)
     assert events.total_seconds == lanes.total_seconds, algo
     assert events.phase_seconds == lanes.phase_seconds, algo
     assert events.peak_bytes == lanes.peak_bytes, algo
     assert trace_summary(events) == trace_summary(lanes), algo
+
+
+@pytest.mark.parametrize("algo", ALL_ALGOS)
+@pytest.mark.parametrize("gen", [
+    g if g in FAST else pytest.param(g, marks=pytest.mark.corpus)
+    for g in sorted(CORPUS)])
+def test_multi_stream_records_match_oracle(algo, gen, rng, monkeypatch):
+    real = scheduler._event_loop
+    phases = []
+
+    def checked(kernels, durations, device, start_time, use_streams):
+        got = real(kernels, durations, device, start_time, use_streams)
+        assert got == event_loop(kernels, durations, device, start_time,
+                                 use_streams), [k.name for k in kernels]
+        phases.append(len(kernels))
+        return got
+
+    monkeypatch.setattr(scheduler, "_event_loop", checked)
+    _cold_report(algo, CORPUS[gen](rng))
+    if algo == "proposal":
+        assert phases, "the proposal ran no multi-stream phase"
 

@@ -1,11 +1,18 @@
-"""Block scheduler tests: conservation, streams, imbalance, and the
-lane schedule of single-stream phases pinned to the event loop."""
+"""Block scheduler tests: conservation, streams, imbalance, and both
+scheduler implementations -- the lane schedule of serialized phases and
+the fixed-point event loop of multi-stream ones -- pinned to the
+per-block event loop kept in :mod:`tests.scheduler_oracle`."""
+
+import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import perf
 from repro.errors import DeviceConfigError, SchedulerError
 from repro.gpu import scheduler
 from repro.gpu.cost import block_durations
@@ -14,6 +21,8 @@ from repro.gpu.kernel import BlockWorks, KernelLaunch
 from repro.gpu.occupancy import occupancy_for
 from repro.gpu.scheduler import simulate_phase
 from repro.types import Precision
+
+from tests.scheduler_oracle import event_loop
 
 
 def uniform_kernel(n_blocks, flops_per_block=1e5, threads=256, shared=0,
@@ -150,7 +159,7 @@ class TestConservation:
         assert d2 > 1.7 * d1
 
 
-# -- lane schedule == event loop on serialized phases ----------------------
+# -- lane schedule == oracle on serialized phases --------------------------
 
 SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -204,7 +213,8 @@ def serial_phases(draw):
 
 class TestLaneSchedule:
     """Serialized phases are list-scheduled onto lanes without events;
-    the event loop stays the reference they must equal bit for bit."""
+    the oracle's per-block event loop is the reference they must equal
+    bit for bit."""
 
     @SETTINGS
     @given(phase=serial_phases())
@@ -212,8 +222,7 @@ class TestLaneSchedule:
         kernels, durations, start, use_streams = phase
         lanes = scheduler._lane_schedule(kernels, durations, P100, start,
                                          use_streams)
-        ref = scheduler._event_loop(kernels, durations, P100, start,
-                                    use_streams)
+        ref = event_loop(kernels, durations, P100, start, use_streams)
         assert lanes == ref
 
     @SETTINGS
@@ -224,7 +233,7 @@ class TestLaneSchedule:
         kernels, _, start, use_streams = phase
         start += 2e-3   # nonzero: records are stored with absolute times
         p = Precision.parse(precision)
-        ref = scheduler._event_loop(
+        ref = event_loop(
             kernels, [block_durations(k, P100, p) for k in kernels], P100,
             start, use_streams)
         scheduler.clear_phase_memo()
@@ -264,3 +273,175 @@ class TestLaneSchedule:
         too_wide = uniform_kernel(4, threads=P100.max_threads_per_block + 1)
         with pytest.raises(DeviceConfigError):
             simulate_phase([too_wide], P100, "single", use_streams=False)
+
+
+# -- fixed-point event loop == oracle on multi-stream phases ---------------
+
+#: A kernel's blocks last ~1 us ("tiny": well under the 2 us issue gap,
+#: so later kernels issue after earlier ones finished) or the values of
+#: :func:`_values`.
+_KINDS = ("tied", "zero", "random", "mixed", "tiny")
+
+
+@st.composite
+def multi_stream_phases(draw):
+    """2-6 launches on two or more of four streams, so kernels co-schedule,
+    wait behind one another and share a stream; each has one of
+    :data:`FOOTPRINTS` and sits below or above one wave."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 6))
+    streams = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    if len(set(streams)) == 1:
+        streams[draw(st.integers(0, n - 1))] = (streams[0] + 1) % 4
+    kernels, values = [], []
+    for i, stream in enumerate(streams):
+        threads, shared = FOOTPRINTS[draw(st.sampled_from(sorted(FOOTPRINTS)))]
+        lanes = _lanes(threads, shared)
+        n_blocks = draw(st.one_of(st.integers(1, lanes),
+                                  st.integers(lanes + 1, 2 * lanes)))
+        kind = draw(st.sampled_from(_KINDS))
+        values.append(rng.random(n_blocks) * 1e-6 if kind == "tiny"
+                      else _values(kind, n_blocks, rng))
+        kernels.append(KernelLaunch(
+            name=f"k{i}", block_threads=threads,
+            shared_bytes_per_block=shared,
+            works=BlockWorks(n_blocks=n_blocks, flops=values[-1] * 1e11),
+            stream=stream))
+    start = draw(st.sampled_from([0.0, 1e-3, 0.123456789]))
+    return kernels, values, start
+
+
+def _two_streams():
+    """A TB/ROW-like kernel of many blocks with a smaller kernel waiting
+    behind it on another stream."""
+    return [uniform_kernel(3000, threads=256, stream=0, name="wide"),
+            uniform_kernel(40, threads=64, stream=1, name="late")]
+
+
+class TestEventLoop:
+    """Multi-stream phases refill freed slots at the fixed point; the
+    oracle's per-block event loop is the reference they must equal bit
+    for bit, budget and deadlock guards included."""
+
+    @SETTINGS
+    @given(phase=multi_stream_phases())
+    def test_refill_equals_oracle_on_drawn_durations(self, phase):
+        kernels, durations, start = phase
+        got = scheduler._event_loop(kernels, durations, P100, start, True)
+        assert got == event_loop(kernels, durations, P100, start, True)
+
+    @SETTINGS
+    @given(phase=multi_stream_phases(),
+           precision=st.sampled_from(["single", "double"]))
+    def test_simulate_phase_equals_oracle_cold_and_warm(self, phase,
+                                                        precision):
+        kernels, _, start = phase
+        start += 2e-3   # nonzero: records are stored with absolute times
+        p = Precision.parse(precision)
+        ref = event_loop(kernels, [block_durations(k, P100, p)
+                                   for k in kernels], P100, start, True)
+        scheduler.clear_phase_memo()
+        cold = simulate_phase(kernels, P100, p, start_time=start)
+        assert cold.records == ref
+        warm = simulate_phase(kernels, P100, p, start_time=start)
+        assert warm.records == cold.records and warm.end == cold.end
+
+    def test_refill_takes_most_completions(self, monkeypatch):
+        """The waiting kernel does not send the wide one's completions
+        back to full dispatch rounds: all but the rounds around its
+        start and its arrival refill by heap replace."""
+        replaced = []
+        real = scheduler.heapq.heapreplace
+        monkeypatch.setattr(scheduler.heapq, "heapreplace",
+                            lambda h, x: replaced.append(1) or real(h, x))
+        kernels = _two_streams()
+        durations = [np.random.default_rng(0).random(k.works.n_blocks) * 1e-5
+                     for k in kernels]
+        got = scheduler._event_loop(kernels, durations, P100, 0.0, True)
+        assert got == event_loop(kernels, durations, P100, 0.0, True)
+        assert len(replaced) > 0.9 * (3000 - _lanes(256, 0))
+
+    def test_event_budget_guards_the_event_path(self, monkeypatch):
+        # blocks + launches: 3040 + 2 events, on the oracle as here
+        kernels = _two_streams()
+        durations = [block_durations(k, P100, Precision.SINGLE)
+                     for k in kernels]
+        monkeypatch.setattr(scheduler, "MAX_EVENTS", 3041)
+        for loop in (scheduler._event_loop, event_loop):
+            with pytest.raises(SchedulerError, match="event budget"):
+                loop(kernels, durations, P100, 0.0, True)
+        scheduler.clear_phase_memo()
+        with pytest.raises(SchedulerError, match="event budget"):
+            simulate_phase(kernels, P100, "single")
+        monkeypatch.setattr(scheduler, "MAX_EVENTS", 3042)
+        simulate_phase(kernels, P100, "single")
+        assert (scheduler._event_loop(kernels, durations, P100, 0.0, True)
+                == event_loop(kernels, durations, P100, 0.0, True))
+
+    def test_a_kernel_without_blocks_deadlocks(self):
+        # it never completes, so its stream successor never becomes ready
+        # (a launch cannot have an empty grid: the durations are made up)
+        kernels = [uniform_kernel(300, stream=0),
+                   uniform_kernel(1, stream=1, name="empty"),
+                   uniform_kernel(5, stream=1, name="after")]
+        durations = [np.full(300, 1e-6), np.empty(0), np.full(5, 1e-6)]
+        for loop in (scheduler._event_loop, event_loop):
+            with pytest.raises(SchedulerError, match="2 kernels never "
+                               "completed \\(dispatch deadlock\\)"):
+                loop(kernels, durations, P100, 0.0, True)
+
+
+class TestSharedCaches:
+    """The phase memo and the device-key cache are shared by every
+    thread that simulates, the serving workers included."""
+
+    def test_concurrent_callers_agree_with_fresh_schedules(self,
+                                                           monkeypatch):
+        """Eight threads make 4000 calls each over 3 phases on 3 devices
+        into a 4-entry phase memo and a 2-entry device-key cache under a
+        1 us switch interval, so puts keep evicting while other threads
+        read.  Without the caches' lock two threads pop the same LRU
+        entry (a ``KeyError``) or lose a size update; with it every
+        schedule equals a fresh one and each cache's size stays its
+        entry count."""
+        devices = [dataclasses.replace(P100, kernel_launch_us=us)
+                   for us in (1.0, 2.0, 3.0)]
+        phases = [[uniform_kernel(n, stream=0), uniform_kernel(2, stream=1)]
+                  for n in (1, 2, 3)]
+        expected = [[simulate_phase(p, d, "single").records for d in devices]
+                    for p in phases]
+        picks = [np.random.default_rng(seed).integers(3, size=(4000, 2))
+                 .tolist() for seed in range(8)]
+        memo, device_keys = perf.LRUCache(4), perf.LRUCache(2)
+        monkeypatch.setattr(scheduler, "_memo", memo)
+        monkeypatch.setattr(scheduler, "_device_keys", device_keys)
+        start = threading.Barrier(8)
+        errors: list[str] = []
+
+        def worker(seed: int) -> None:
+            start.wait()
+            try:
+                for i, j in picks[seed]:
+                    got = simulate_phase(phases[i], devices[j], "single")
+                    if got.records != expected[i][j]:
+                        errors.append(f"thread {seed}: phase {i} differs "
+                                      f"on device {j}")
+            except Exception as e:      # surfaced by the assert below
+                errors.append(repr(e))
+
+        threads = [threading.Thread(target=worker, args=(k,), daemon=True)
+                   for k in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        # a lost update on either cache's bookkeeping would break this
+        assert len(memo) <= 4 and memo.total == len(memo)
+        assert len(device_keys) <= 2 and device_keys.total == len(device_keys)
