@@ -67,8 +67,7 @@ class RunContext:
     def __init__(self, algorithm: str, matrix_name: str, device: DeviceSpec,
                  precision: Precision, *,
                  faults: FaultPlan | None = None,
-                 numeric_only: bool = False,
-                 observed: bool | None = None) -> None:
+                 numeric_only: bool = False) -> None:
         self.algorithm = algorithm
         self.matrix_name = matrix_name
         self.device = device
@@ -83,11 +82,10 @@ class RunContext:
         self.numeric_only = numeric_only
         #: False skips all event construction (the throughput fast path:
         #: no trace sink or metrics registry is reading the stream, so
-        #: nothing is built).  ``None`` inherits the ambient default of
+        #: nothing is built).  Taken from the ambient default of
         #: :func:`repro.obs.events.observe_runs` -- True unless a caller
         #: opted out.  Checked once per phase/charge, never per element.
-        self.observed = (OBS.observed_default() if observed is None
-                         else bool(observed))
+        self.observed = OBS.observed_default()
         self.events = EventBus()
         self.memory = DeviceMemory(device, faults=faults,
                                    observer=self._on_memory_event)

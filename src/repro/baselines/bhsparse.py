@@ -219,7 +219,7 @@ class BHSparseSpGEMM(SpGEMMAlgorithm):
         # ---- upper bound + binning (bin sizes are read back to the host
         # to size the per-bin launches) ----
         d_bound = ctx.alloc("upper_bound", 4 * n_rows, phase="setup")
-        ctx.run("count", [count_products_kernel(A, phase="count")])
+        ctx.run("count", [count_products_kernel(prod.nnz_a, phase="count")])
         ctx.host_sync("count")
         upper = np.minimum(row_products, B.n_cols)
         bins = _bin_rows(upper)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.count_products import chunk_sums
 from repro.gpu.kernel import BlockWorks, KernelLaunch
 
 
@@ -33,11 +34,7 @@ def row_chunk_grid(columns: dict[str, np.ndarray], rows_per_block: int,
     matrix's own (no grouping), so heavy rows inflate whichever block they
     land in -- the load-imbalance mechanism of the ungrouped baselines.
     """
-    n = next(iter(columns.values())).shape[0]
-    starts = np.arange(0, n, rows_per_block)
-    agg = {k: np.add.reduceat(np.asarray(v, dtype=np.float64), starts)
-           for k, v in columns.items()}
+    agg = {k: chunk_sums(v, rows_per_block) for k, v in columns.items()}
     return KernelLaunch(name=name, block_threads=block_threads,
                         shared_bytes_per_block=shared_bytes,
-                        works=BlockWorks(n_blocks=starts.shape[0], **agg),
-                        stream=stream, phase=phase)
+                        works=BlockWorks(**agg), stream=stream, phase=phase)

@@ -154,7 +154,7 @@ class CuSparseSpGEMM(SpGEMMAlgorithm):
 
         # ---- counting phase (global tables sized by products) ----
         d_nnz = ctx.alloc("row_nnz", 4 * (n_rows + 1))
-        ctx.run("count", [count_products_kernel(A, phase="count")])
+        ctx.run("count", [count_products_kernel(prod.nnz_a, phase="count")])
         ws = self._workspace_bytes(nnz_out, row_products, SYMBOLIC_TABLE, 4,
                                    HEAVY_CHUNK_SYMBOLIC)
         ws_buf = ctx.alloc("symbolic_workspace", ws) if ws else None

@@ -68,7 +68,7 @@ class ESCSpGEMM(SpGEMMAlgorithm):
         nnz_a = A.nnz
 
         # ---- count products (sizes the expansion) ----
-        ctx.run("count", [count_products_kernel(A, phase="count")])
+        ctx.run("count", [count_products_kernel(prod.nnz_a, phase="count")])
 
         # ---- allocate the expansion and the sort ping-pong buffer (the
         # product count is read back to the host first) ----

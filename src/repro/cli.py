@@ -280,6 +280,14 @@ def _fault_plan(args):
     return plan
 
 
+def _devices(spec: str | None) -> int | tuple[str, ...] | None:
+    """The ``--devices`` value: a replica count or preset names."""
+    if not spec:
+        return None
+    spec = spec.strip()
+    return int(spec) if spec.isdigit() else tuple(spec.split(","))
+
+
 def _options_from_args(args, repeat: int):
     """One :class:`~repro.options.SpGEMMOptions` from the multiply flags."""
     from repro.options import SpGEMMOptions
@@ -293,10 +301,8 @@ def _options_from_args(args, repeat: int):
 
         algorithm = backend_for_spec(
             _device(args.device)).native_algorithm(algorithm)
-    devices = None
+    devices = _devices(args.devices)
     if args.devices:
-        spec = args.devices.strip()
-        devices = int(spec) if spec.isdigit() else tuple(spec.split(","))
         # per-device plan caches are the point of a pool; default them on
         engine = args.engine if args.engine is not None else True
     else:
@@ -533,14 +539,10 @@ def cmd_serve(args) -> int:
     else:
         jobs = _DEMO_TRACE
 
-    devices = None
-    if args.devices:
-        spec = args.devices.strip()
-        devices = int(spec) if spec.isdigit() else tuple(spec.split(","))
     options = SpGEMMOptions().evolve(
         algorithm=ALGORITHM_ALIASES.get(args.algorithm, args.algorithm),
         precision=args.precision, device=_device(args.device),
-        devices=devices)
+        devices=_devices(args.devices))
     policy = ServePolicy(max_queue_depth=max(1, args.queue_depth),
                          default_deadline_s=args.deadline_s)
     faults = None

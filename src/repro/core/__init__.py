@@ -2,7 +2,9 @@
 
 Modules follow the flow of Figure 1:
 
-1. :mod:`repro.core.count_products` -- intermediate products per row (Alg. 2).
+1. :mod:`repro.core.count_products` -- the kernel counting intermediate
+   products per row (Alg. 2; the count itself is
+   :func:`repro.sparse.expansion.intermediate_product_counts`).
 2. :mod:`repro.core.grouping` + :mod:`repro.core.params` -- row groups and the
    per-group kernel parameters (Table I).
 3. :mod:`repro.core.symbolic` -- counting output nnz per row with hash tables

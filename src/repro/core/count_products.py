@@ -1,9 +1,12 @@
-"""Step (1) of Figure 1: counting intermediate products per row (Alg. 2).
+"""Step (1) of Figure 1: the kernel charging Alg. 2's per-row product
+count, whose functional result is
+:func:`repro.sparse.expansion.intermediate_product_counts`.  The kernel
+reads only ``rpt_A``, ``col_A`` and ``rpt_B`` -- "the execution cost is
+relatively small compared to whole SpGEMM execution" (Section III-A).
 
-Functionally this is :func:`repro.sparse.expansion.intermediate_product_counts`;
-here we also build the kernel launch that charges its (small) cost: the
-kernel reads only ``rpt_A``, ``col_A`` and ``rpt_B`` -- "the execution cost
-is relatively small compared to whole SpGEMM execution" (Section III-A).
+The chunking primitives here serve every per-row kernel builder, and the
+builders take per-row arrays, not matrices: ``nnz_a`` is A's row lengths
+(``ProductResult.nnz_a`` in a leaf, the sketch's in the autotuner).
 """
 
 from __future__ import annotations
@@ -11,54 +14,45 @@ from __future__ import annotations
 import numpy as np
 
 from repro.gpu.kernel import BlockWorks, KernelLaunch
-from repro.sparse.expansion import intermediate_product_counts
 
 #: One thread per row, classic 256-thread blocks.
 BLOCK_THREADS = 256
 
 
+def _chunked(reduce: np.ufunc, per_row: np.ndarray, chunk: int) -> np.ndarray:
+    """``reduce`` over consecutive chunks of ``chunk`` rows.  A per-row
+    kernel over zero rows still launches one block, with no work, so
+    zero rows make one zero chunk."""
+    per_row = np.asarray(per_row, dtype=np.float64)
+    if per_row.shape[0] == 0:
+        return np.zeros(1)
+    return reduce.reduceat(per_row, np.arange(0, per_row.shape[0], chunk))
+
+
 def chunk_sums(per_row: np.ndarray, chunk: int) -> np.ndarray:
     """Sum ``per_row`` over consecutive chunks of ``chunk`` rows."""
-    per_row = np.asarray(per_row, dtype=np.float64)
-    n = per_row.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=np.float64)
-    starts = np.arange(0, n, chunk)
-    return np.add.reduceat(per_row, starts)
+    return _chunked(np.add, per_row, chunk)
 
 
 def chunk_maxes(per_row: np.ndarray, chunk: int) -> np.ndarray:
     """Max of ``per_row`` over consecutive chunks of ``chunk`` rows."""
-    per_row = np.asarray(per_row, dtype=np.float64)
-    n = per_row.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=np.float64)
-    starts = np.arange(0, n, chunk)
-    return np.maximum.reduceat(per_row, starts)
+    return _chunked(np.maximum, per_row, chunk)
 
 
-def count_products(A, B) -> np.ndarray:
-    """Per-row intermediate-product counts (the functional result)."""
-    return intermediate_product_counts(A, B)
-
-
-def count_products_kernel(A, *, stream: int = 0, phase: str = "setup") -> KernelLaunch:
-    """Kernel launch charging the cost of Alg. 2 over all rows of ``A``.
+def count_products_kernel(nnz_a: np.ndarray, *, stream: int = 0,
+                          phase: str = "setup") -> KernelLaunch:
+    """Kernel launch charging the cost of Alg. 2 over rows of lengths
+    ``nnz_a``.
 
     Per row: the ``rpt_A`` pair (streamed), ``col_A`` entries (streamed),
     one scattered ``rpt_B`` pair load per A-nonzero, one add per A-nonzero,
     and the 4-byte result store.
     """
-    nnz_a = A.row_nnz().astype(np.float64)
-    n = A.n_rows
-    blocks = max(1, -(-n // BLOCK_THREADS))
-    coalesced = chunk_sums(8.0 + 4.0 * nnz_a + 4.0, BLOCK_THREADS)
-    scattered = chunk_sums(nnz_a, BLOCK_THREADS)
-    flops = chunk_sums(nnz_a, BLOCK_THREADS)
-    works = BlockWorks(n_blocks=blocks,
-                       flops=flops,
-                       gmem_coalesced_bytes=coalesced,
-                       gmem_random=scattered)
+    nnz_a = np.asarray(nnz_a, dtype=np.float64)
+    works = BlockWorks(flops=chunk_sums(nnz_a, BLOCK_THREADS),
+                       gmem_coalesced_bytes=chunk_sums(8.0 + 4.0 * nnz_a + 4.0,
+                                                       BLOCK_THREADS),
+                       gmem_random=chunk_sums(nnz_a, BLOCK_THREADS))
     return KernelLaunch(name="count_products", block_threads=BLOCK_THREADS,
                         shared_bytes_per_block=0, works=works, stream=stream,
                         phase=phase)

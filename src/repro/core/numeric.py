@@ -107,12 +107,12 @@ def group0_table_entries(nnz_out_rows: np.ndarray) -> np.ndarray:
     return next_pow2_array(doubled).astype(np.float64)
 
 
-def plan_numeric(A, assignment: GroupAssignment, row_products: np.ndarray,
-                 row_nnz: np.ndarray, precision: Precision,
-                 device: DeviceSpec) -> NumericPlan:
-    """Build the numeric-phase kernels for the nnz-grouped matrix."""
+def plan_numeric(nnz_a_all: np.ndarray, assignment: GroupAssignment,
+                 row_products: np.ndarray, row_nnz: np.ndarray,
+                 precision: Precision, device: DeviceSpec) -> NumericPlan:
+    """Build the numeric-phase kernels for the nnz-grouped matrix from
+    full-length per-row arrays: A's row lengths, products and nnz."""
     plan = NumericPlan()
-    nnz_a_all = A.row_nnz()
     for params, rows in assignment.nonempty():
         nnz_a = nnz_a_all[rows].astype(np.float64)
         nprod = row_products[rows].astype(np.float64)

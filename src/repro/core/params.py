@@ -26,11 +26,11 @@ devices:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from repro.errors import DeviceConfigError
 from repro.gpu.device import DeviceSpec
-from repro.types import HASH_SCAL, next_pow2
+from repro.types import HASH_SCAL, TunableParams, next_pow2
 
 #: Number of threads cooperating on one row in PWARP/ROW.  Section III-B:
 #: a preliminary sweep over 1/2/4/8/16 threads found 4 stably best; the
@@ -61,7 +61,7 @@ def pow2_floor(n: int) -> int:
 
 
 @dataclass(frozen=True)
-class ParamOverrides:
+class ParamOverrides(TunableParams):
     """Tuned deviations from the paper's Table I construction.
 
     Every field defaults to ``None`` = "keep the Section III-D value";
@@ -105,34 +105,11 @@ class ParamOverrides:
     hash_scal: int | None = None
     symbolic: str | None = None
 
-    def is_default(self) -> bool:
-        """True when no field deviates from Table I."""
-        return all(getattr(self, f.name) is None for f in fields(self))
-
-    def switches(self) -> tuple:
-        """Canonical ``((field, value), ...)`` of the *set* fields only,
-        sorted by name -- folded into plan-cache keys, so a tuned and an
-        untuned run of the same pattern never share a plan."""
-        return tuple(sorted(
-            (f.name, getattr(self, f.name)) for f in fields(self)
-            if getattr(self, f.name) is not None))
-
-    def to_dict(self) -> dict:
-        """JSON-representable form (set fields only; round-trips through
-        :meth:`from_dict`)."""
-        return {k: v for k, v in self.switches()}
-
     @classmethod
     def from_dict(cls, d: dict) -> "ParamOverrides":
         """Inverse of :meth:`to_dict`; unknown keys raise ``TypeError``."""
         return cls(**{k: (str(v) if k == "symbolic" else int(v))
                       for k, v in d.items()})
-
-    def describe(self) -> str:
-        """Compact human-readable form (``default`` when nothing is set)."""
-        if self.is_default():
-            return "default"
-        return " ".join(f"{k}={v}" for k, v in self.switches())
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.base import SpGEMMAlgorithm, SpGEMMResult
-from repro.core.count_products import count_products
 from repro.errors import DeviceLostError, DeviceMemoryError, HashTableError
 from repro.gpu.device import P100, DeviceSpec
 from repro.gpu.faults import FaultPlan
@@ -41,6 +40,7 @@ from repro.gpu.timeline import PHASES, KernelRecord, SimReport
 from repro.obs import events as OBS
 from repro.obs.events import Event
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.expansion import intermediate_product_counts
 from repro.types import Precision
 
 #: Failures the ladder absorbs; everything else is a bug and propagates.
@@ -132,14 +132,8 @@ def merge_panel_reports(reports: list[SimReport], *, algorithm: str,
     for r in reports:
         for p, dt in r.phase_seconds.items():
             phase_seconds[p] = phase_seconds.get(p, 0.0) + dt
-        for k in r.kernels:
-            kernels.append(KernelRecord(
-                name=k.name, phase=k.phase, stream=k.stream,
-                start=k.start + offset, end=k.end + offset,
-                n_blocks=k.n_blocks, block_seconds=k.block_seconds,
-                device=k.device))
-        for e in r.events:
-            events.append(e.shifted(offset))
+        kernels.extend(k.shifted(offset) for k in r.kernels)
+        events.extend(e.shifted(offset) for e in r.events)
         offset += r.total_seconds
     first = reports[0]
     return SimReport(
@@ -311,7 +305,7 @@ class ResilientSpGEMM(SpGEMMAlgorithm):
     def _chunked(self, algo, A, B, p, device, matrix_name, faults,
                  n_panels, rep) -> SpGEMMResult:
         """Multiply panel-by-panel and concatenate the CSR output."""
-        panels = split_row_panels(count_products(A, B), n_panels)
+        panels = split_row_panels(intermediate_product_counts(A, B), n_panels)
         if len(panels) <= 1:
             return algo.multiply(A, B, precision=p, device=device,
                                  matrix_name=matrix_name, faults=faults)

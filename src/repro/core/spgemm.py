@@ -40,21 +40,21 @@ import dataclasses
 import numpy as np
 
 from repro.base import SpGEMMAlgorithm, SpGEMMResult
-from repro.core.count_products import count_products_kernel, pass_over_rows_kernel
+from repro.core.count_products import (BLOCK_THREADS, count_products_kernel,
+                                       pass_over_rows_kernel)
 from repro.core.grouping import GroupAssignment, group_rows
 from repro.core.numeric import plan_numeric
 from repro.core.params import PWARP_WIDTH, ParamOverrides, build_group_table
-from repro.core.symbolic import plan_symbolic
+from repro.core.symbolic import global_recount_kernel, plan_symbolic
 from repro.errors import AlgorithmError
-from repro.estimate import (DEFAULT_MARGIN, DEFAULT_SAMPLES,
-                            estimate_recount_kernel, estimate_row_nnz,
+from repro.estimate import (DEFAULT_MARGIN, DEFAULT_SAMPLES, estimate_row_nnz,
                             estimate_sample_kernel)
 from repro.gpu.device import P100, DeviceSpec
 from repro.gpu.faults import FaultPlan
 from repro.obs import events as OBS
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.product import ProductResult
-from repro.types import INDEX_DTYPE, Precision, next_pow2_array
+from repro.types import INDEX_DTYPE, Precision
 
 #: Valid values of the ``symbolic`` constructor switch.
 SYMBOLIC_MODES = ("exact", "estimate")
@@ -195,7 +195,7 @@ class HashSpGEMM(SpGEMMAlgorithm):
         # ---- (1) setup: product counts (Alg. 2; the estimate keeps it
         # too: it is cheap and the estimator clamps its bounds to it) ----
         d_products = ctx.alloc("row_products", 4 * n_rows, phase="setup")
-        ctx.run("setup", [count_products_kernel(A)],
+        ctx.run("setup", [count_products_kernel(prod.nnz_a)],
                 use_streams=self.use_streams)
 
         # ---- (2)-(3): the exact or the estimated symbolic step ----
@@ -227,7 +227,7 @@ class HashSpGEMM(SpGEMMAlgorithm):
         # ---- (7) calc: numeric kernels, one stream per group; costs use
         # the *true* counts (an estimated bound >= nnz guarantees every
         # shared table fits its row) ----
-        num_plan = plan_numeric(A, num_groups, prod.row_products,
+        num_plan = plan_numeric(prod.nnz_a, num_groups, prod.row_products,
                                 prod.row_nnz, p, ctx.device)
         if ctx.observed:
             ctx.emit_each(OBS.HASH_STATS, "numeric", num_plan.table_stats)
@@ -274,8 +274,8 @@ class HashSpGEMM(SpGEMMAlgorithm):
                 use_streams=self.use_streams)
 
         d_nnz = ctx.alloc("row_nnz", 4 * (n_rows + 1), phase="setup")
-        sym_plan = plan_symbolic(A, sym_groups, row_products, prod.row_nnz,
-                                 ctx.device)
+        sym_plan = plan_symbolic(prod.nnz_a, sym_groups, row_products,
+                                 prod.row_nnz, ctx.device)
         if ctx.observed:
             ctx.emit_each(OBS.HASH_STATS, "symbolic", sym_plan.table_stats)
         ctx.run("count", sym_plan.kernels, use_streams=self.use_streams)
@@ -320,13 +320,13 @@ class HashSpGEMM(SpGEMMAlgorithm):
                  within=n_rows - n_violated,
                  overalloc_nnz=int((adjusted - row_nnz).sum()))
         if n_violated:
-            sizes = next_pow2_array(row_products[violated]).astype(np.float64)
+            recount, sizes = global_recount_kernel(
+                "estimate_recount", "estretry", BLOCK_THREADS,
+                nnz_a[violated], row_products[violated], row_nnz[violated])
             table_bytes = int(4 * sizes.sum())
             tables = ctx.alloc("estimate_recount_tables", table_bytes,
                                phase="count")
-            ctx.run("count", [estimate_recount_kernel(
-                nnz_a[violated], row_products[violated], row_nnz[violated],
-                sizes)], use_streams=self.use_streams)
+            ctx.run("count", [recount], use_streams=self.use_streams)
             ctx.free(tables)
             ctx.emit(OBS.ESTIMATE_RECOVER, ctx.matrix_name, rows=n_violated,
                      table_bytes=table_bytes)

@@ -128,32 +128,45 @@ def _group0_try_kernel(params: GroupParams, try_table: int, nnz_a, nprod,
                         works=works, stream=stream, phase="count", tag="g0")
 
 
-def _group0_retry_kernel(params: GroupParams, nnz_a, nprod, nnz_out,
-                         table_sizes) -> KernelLaunch:
-    """Group-0 second phase: recount failed rows on global-memory tables."""
-    rand, atomics = W.global_hash_symbolic(nprod, nnz_out, table_sizes)
+def global_recount_kernel(name: str, tag: str, block_threads: int,
+                          nnz_a, row_products, nnz_out
+                          ) -> tuple[KernelLaunch, np.ndarray]:
+    """Exact recount of rows on per-row global-memory hash tables.
+
+    The Group-0 retry (Section III-B.2) and the estimated symbolic
+    phase's recount of bound-violating rows are this one kernel: each
+    row's table holds the next power of two above its intermediate
+    products, every probe is a scattered global load, every insert a
+    global CAS, plus the streaming table init and operand reads.
+    Returns the launch and the per-row table sizes in entries.
+    """
+    sizes = next_pow2_array(row_products).astype(np.float64)
+    nnz_a = np.asarray(nnz_a, dtype=np.float64)
+    nprod = np.asarray(row_products, dtype=np.float64)
+    rand, atomics = W.global_hash_symbolic(
+        nprod, np.asarray(nnz_out, dtype=np.float64), sizes)
     works = BlockWorks(
         flops=W.hash_flops(nprod),
         gmem_coalesced_bytes=(W.stream_bytes_symbolic(nnz_a, nprod)
-                              + 4.0 * table_sizes),   # table init store
+                              + 4.0 * sizes),   # table init store
         gmem_random=rand + W.scattered_transactions(nnz_a),
         gmem_atomics=atomics,
     )
-    return KernelLaunch(name="symbolic_tb_g0_retry",
-                        block_threads=params.block_threads,
-                        shared_bytes_per_block=0,
-                        works=works, stream=0, phase="count", tag="g0retry")
+    return KernelLaunch(name=name, block_threads=block_threads,
+                        shared_bytes_per_block=0, works=works, stream=0,
+                        phase="count", tag=tag), sizes
 
 
-def plan_symbolic(A, assignment: GroupAssignment, row_products: np.ndarray,
-                  row_nnz: np.ndarray, device: DeviceSpec) -> SymbolicPlan:
+def plan_symbolic(nnz_a_all: np.ndarray, assignment: GroupAssignment,
+                  row_products: np.ndarray, row_nnz: np.ndarray,
+                  device: DeviceSpec) -> SymbolicPlan:
     """Build the symbolic-phase kernels for a grouped matrix.
 
-    ``row_products`` and ``row_nnz`` are full-length per-row arrays (the
-    latter from the functional oracle standing in for the hash count).
+    ``nnz_a_all`` (A's row lengths), ``row_products`` and ``row_nnz``
+    are full-length per-row arrays (the last from the functional oracle
+    standing in for the hash count).
     """
     plan = SymbolicPlan(row_nnz=row_nnz)
-    nnz_a_all = A.row_nnz()
     try_table = assignment.table.max_shared_table_symbolic
 
     for params, rows in assignment.nonempty():
@@ -177,12 +190,12 @@ def plan_symbolic(A, assignment: GroupAssignment, row_products: np.ndarray,
             failed_mask = nnz_out > try_table
             failed = rows[failed_mask]
             if failed.shape[0]:
-                sizes = next_pow2_array(row_products[failed]).astype(np.float64)
                 plan.failed_rows = failed
+                plan.retry_kernel, sizes = global_recount_kernel(
+                    "symbolic_tb_g0_retry", "g0retry", params.block_threads,
+                    nnz_a[failed_mask], row_products[failed],
+                    nnz_out[failed_mask])
                 plan.global_table_bytes = int(4 * sizes.sum())
-                plan.retry_kernel = _group0_retry_kernel(
-                    params, nnz_a[failed_mask], nprod[failed_mask],
-                    nnz_out[failed_mask], sizes)
                 retry_load = nnz_out[failed_mask] / sizes
                 plan.table_stats.append({
                     "group": params.gid, "tables": int(failed.shape[0]),

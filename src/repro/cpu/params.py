@@ -4,19 +4,21 @@ The CPU search space is genuinely different from the GPU's Table I
 (:class:`repro.core.params.ParamOverrides`): instead of hash-table caps
 and block-size ladders, the knobs are thread count, row-block
 granularity and (for propagation blocking) the bin count.
-:class:`CPUParams` mirrors the ``ParamOverrides`` API surface --
-``is_default`` / ``switches`` / ``to_dict`` / ``from_dict`` /
-``describe`` -- so the autotuner, the plan-cache keys and the persistent
-tuning store treat both backends uniformly.
+:class:`CPUParams` shares the one parameter protocol,
+:class:`~repro.types.TunableParams`, with ``ParamOverrides``, so the
+autotuner, the plan-cache keys and the persistent tuning store treat
+both backends uniformly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+
+from repro.types import TunableParams
 
 
 @dataclass(frozen=True)
-class CPUParams:
+class CPUParams(TunableParams):
     """Tuned deviations from the CPU algorithms' built-in defaults.
 
     Every field defaults to ``None`` = "keep the derived value".
@@ -43,30 +45,7 @@ class CPUParams:
     block_rows: int | None = None
     bins: int | None = None
 
-    def is_default(self) -> bool:
-        """True when no field deviates from the derived defaults."""
-        return all(getattr(self, f.name) is None for f in fields(self))
-
-    def switches(self) -> tuple:
-        """Canonical ``((field, value), ...)`` of the *set* fields only,
-        sorted by name -- folded into plan-cache keys, so a tuned and an
-        untuned run of the same pattern never share a plan."""
-        return tuple(sorted(
-            (f.name, getattr(self, f.name)) for f in fields(self)
-            if getattr(self, f.name) is not None))
-
-    def to_dict(self) -> dict:
-        """JSON-representable form (set fields only; round-trips through
-        :meth:`from_dict`)."""
-        return {k: v for k, v in self.switches()}
-
     @classmethod
     def from_dict(cls, d: dict) -> "CPUParams":
         """Inverse of :meth:`to_dict`; unknown keys raise ``TypeError``."""
         return cls(**{k: int(v) for k, v in d.items()})
-
-    def describe(self) -> str:
-        """Compact human-readable form (``default`` when nothing is set)."""
-        if self.is_default():
-            return "default"
-        return " ".join(f"{k}={v}" for k, v in self.switches())

@@ -220,12 +220,8 @@ class DistSpGEMM(SpGEMMAlgorithm):
         device_events: list[Event] = []
         kernels: list[KernelRecord] = []
         for slot, (lo, hi), r in panel_runs:
-            for k in r.report.kernels:
-                kernels.append(KernelRecord(
-                    name=k.name, phase=k.phase, stream=k.stream,
-                    start=k.start + wave_start, end=k.end + wave_start,
-                    n_blocks=k.n_blocks, block_seconds=k.block_seconds,
-                    device=slot.device_id))
+            kernels.extend(k.shifted(wave_start, device=slot.device_id)
+                           for k in r.report.kernels)
             if not clk.observed:
                 continue
             for e in r.report.events:

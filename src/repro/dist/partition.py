@@ -28,10 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.count_products import count_products
 from repro.core.work import (hash_flops, scattered_transactions,
                              stream_bytes_numeric, stream_bytes_symbolic)
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.expansion import intermediate_product_counts
 from repro.types import Precision
 
 #: Byte equivalent of one latency-bearing scattered transaction: the
@@ -58,7 +58,7 @@ def estimate_row_work(A: CSRMatrix, B: CSRMatrix,
     """
     p = Precision.parse(precision)
     nnz_a = A.row_nnz().astype(np.float64)
-    nprod = count_products(A, B).astype(np.float64)
+    nprod = intermediate_product_counts(A, B).astype(np.float64)
     nnz_out = np.minimum(nprod, float(B.n_cols))
     scattered = scattered_transactions(nnz_a)
     flops = hash_flops(nprod)

@@ -16,9 +16,10 @@ their exact product count is already on hand from Alg. 2 and is itself a
 valid bound, so short rows can never violate.
 
 A *violation* (true nnz above the bound) is detected when a numeric hash
-table fills; the recovery recount runs on global-memory tables sized by
-the true product count, exactly like the Group-0 shared-table retry --
-so the functional result is always exact and bit-identical to
+table fills; the recovery recount is the Group-0 shared-table retry's
+kernel (:func:`repro.core.symbolic.global_recount_kernel`) on
+global-memory tables sized by the true product count -- so the
+functional result is always exact and bit-identical to
 ``symbolic='exact'``, only the modeled timeline changes.
 """
 
@@ -28,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core import work as W
-from repro.core.count_products import BLOCK_THREADS, chunk_sums, count_products
+from repro.core.count_products import BLOCK_THREADS, chunk_sums
 from repro.gpu.kernel import BlockWorks, KernelLaunch
+from repro.sparse.expansion import intermediate_product_counts
 
 #: Sampled B-row lengths per estimated row (the OCEAN default regime:
 #: enough draws that the relative error of the mean is small for the
@@ -106,7 +107,7 @@ def estimate_row_nnz(A, B, *, samples: int = DEFAULT_SAMPLES,
         raise ValueError(f"margin must be >= 0, got {margin}")
     nnz_a = A.row_nnz().astype(np.int64)
     nnz_b = B.row_nnz().astype(np.int64)
-    row_products = count_products(A, B).astype(np.int64)
+    row_products = intermediate_product_counts(A, B).astype(np.int64)
 
     sampled = nnz_a > samples
     bound = row_products.copy()
@@ -138,45 +139,11 @@ def estimate_sample_kernel(nnz_a: np.ndarray, samples: int,
     count kernels.
     """
     nnz_a = np.asarray(nnz_a, dtype=np.float64)
-    n = nnz_a.shape[0]
-    blocks = max(1, -(-n // BLOCK_THREADS))
     draws = np.minimum(nnz_a, float(samples))
-    coalesced = chunk_sums(np.full(n, 8.0 + 4.0), BLOCK_THREADS)
-    scattered = chunk_sums(2.0 * draws, BLOCK_THREADS)
-    flops = chunk_sums(8.0 * draws + 4.0, BLOCK_THREADS)
-    works = BlockWorks(n_blocks=blocks,
-                       flops=flops,
-                       gmem_coalesced_bytes=coalesced,
-                       gmem_random=scattered)
+    works = BlockWorks(flops=chunk_sums(8.0 * draws + 4.0, BLOCK_THREADS),
+                       gmem_coalesced_bytes=chunk_sums(
+                           np.full(nnz_a.shape[0], 8.0 + 4.0), BLOCK_THREADS),
+                       gmem_random=chunk_sums(2.0 * draws, BLOCK_THREADS))
     return KernelLaunch(name="estimate_sample", block_threads=BLOCK_THREADS,
                         shared_bytes_per_block=0, works=works, stream=stream,
                         phase=phase)
-
-
-def estimate_recount_kernel(nnz_a: np.ndarray, nprod: np.ndarray,
-                            nnz_out: np.ndarray,
-                            table_sizes: np.ndarray, *,
-                            block_threads: int = BLOCK_THREADS,
-                            phase: str = "count") -> KernelLaunch:
-    """Exact recount of bound-violating rows on global-memory tables.
-
-    Same cost recipe as the Group-0 shared-table retry
-    (:func:`repro.core.symbolic._group0_retry_kernel`): every probe a
-    scattered global load, every insert a global CAS, plus the streaming
-    table init and operand reads.
-    """
-    nnz_a = np.asarray(nnz_a, dtype=np.float64)
-    nprod = np.asarray(nprod, dtype=np.float64)
-    nnz_out = np.asarray(nnz_out, dtype=np.float64)
-    table_sizes = np.asarray(table_sizes, dtype=np.float64)
-    rand, atomics = W.global_hash_symbolic(nprod, nnz_out, table_sizes)
-    works = BlockWorks(
-        flops=W.hash_flops(nprod),
-        gmem_coalesced_bytes=(W.stream_bytes_symbolic(nnz_a, nprod)
-                              + 4.0 * table_sizes),
-        gmem_random=rand + W.scattered_transactions(nnz_a),
-        gmem_atomics=atomics,
-    )
-    return KernelLaunch(name="estimate_recount", block_threads=block_threads,
-                        shared_bytes_per_block=0, works=works, stream=0,
-                        phase=phase, tag="estretry")

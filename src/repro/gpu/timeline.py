@@ -9,7 +9,7 @@ the peak-memory figure behind Figure 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -39,6 +39,12 @@ class KernelRecord:
     def duration(self) -> float:
         """Wall-clock span of the kernel on the simulated device."""
         return self.end - self.start
+
+    def shifted(self, offset: float, **changes) -> "KernelRecord":
+        """Copy with ``start``/``end`` moved by ``offset`` (panel merging),
+        plus any field ``changes``."""
+        return replace(self, start=self.start + offset,
+                       end=self.end + offset, **changes)
 
 
 @dataclass

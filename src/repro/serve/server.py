@@ -44,7 +44,6 @@ from concurrent.futures import Future
 
 import numpy as np
 
-from repro.core.count_products import count_products
 from repro.core.resilient import RECOVERABLE
 from repro.core.work import stream_bytes_numeric
 from repro.errors import (CircuitOpenError, JobTimeoutError, ReproError,
@@ -58,6 +57,7 @@ from repro.serve.breaker import STATE_VALUES, CircuitBreaker
 from repro.serve.policy import ServePolicy
 from repro.serve.queue import WeightedFairQueue
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.expansion import intermediate_product_counts
 from repro.sparse.product import pattern_fingerprint, value_tags
 from repro.types import Precision
 
@@ -85,7 +85,7 @@ def estimate_job_bytes(A: CSRMatrix, B: CSRMatrix,
     cheap monotone upper-ish bound beats an exact symbolic pass.
     """
     p = Precision.parse(precision)
-    nprod = count_products(A, B).astype(np.float64)
+    nprod = intermediate_product_counts(A, B).astype(np.float64)
     nnz_a = np.diff(A.rpt).astype(np.float64)
     c_bytes = 8.0 * (A.n_rows + 1) + (4.0 + p.value_bytes) * float(nprod.sum())
     work_bytes = float(stream_bytes_numeric(nnz_a, nprod, nprod, p).sum())

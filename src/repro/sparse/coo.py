@@ -3,7 +3,10 @@
 COO is the interchange format: MatrixMarket files, generators, and the ESC
 baseline's intermediate triple list all speak COO.  ``to_csr`` performs the
 canonical sort-and-contract (duplicates are *summed*, matching MatrixMarket
-assembly semantics and the contraction step of the ESC algorithm).
+assembly semantics and the contraction step of the ESC algorithm).  Its
+sort, :func:`sort_pairs`, is the one deduplicating ``(row, col)`` sort in
+the package: the reference contraction, the distinct-count oracle and
+the generators' deduplication all call it.
 """
 
 from __future__ import annotations
@@ -12,6 +15,29 @@ import numpy as np
 
 from repro.errors import SparseFormatError
 from repro.types import INDEX_DTYPE, Precision
+
+
+def sort_pairs(row: np.ndarray, col: np.ndarray, n_rows: int
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort ``(row, col)`` pairs and find their runs of equal pairs.
+
+    Returns ``(order, starts, rpt)``: ``order`` sorts the pairs by row,
+    then column, stably (equal pairs keep their input order); ``starts``
+    are the positions in sorted order where each run of one pair begins;
+    and ``rpt`` is the CSR row pointer of the distinct pairs, whose
+    columns are ``col[order[starts]]``.  A caller sums its values over
+    the runs with ``np.add.reduceat(val[order], starts)``.
+    """
+    order = np.lexsort((col, row))
+    r, c = row[order], col[order]
+    new_run = np.empty(order.shape[0], dtype=bool)
+    new_run[:1] = True
+    np.not_equal(r[1:], r[:-1], out=new_run[1:])
+    new_run[1:] |= c[1:] != c[:-1]
+    starts = np.flatnonzero(new_run)
+    rpt = np.zeros(n_rows + 1, dtype=INDEX_DTYPE)
+    np.cumsum(np.bincount(r[starts], minlength=n_rows), out=rpt[1:])
+    return order, starts, rpt
 
 
 class COOMatrix:
@@ -68,28 +94,14 @@ class COOMatrix:
         algorithm (Bell et al.), vectorized: a lexicographic sort followed
         by a segmented reduction over runs of equal (row, col).
         """
-        from repro.sparse.csr import CSRMatrix
-
-        n_rows = self.shape[0]
         if self.nnz == 0:
             return CSRMatrix.empty(self.shape,
                                    Precision.SINGLE if self.dtype == np.float32
                                    else Precision.DOUBLE)
-        order = np.lexsort((self.col, self.row))
-        r, c, v = self.row[order], self.col[order], self.val[order]
-        # boundaries of (row, col) runs
-        new_run = np.empty(r.shape[0], dtype=bool)
-        new_run[0] = True
-        new_run[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
-        starts = np.flatnonzero(new_run)
-        out_val = np.add.reduceat(v, starts)
-        out_col = c[starts]
-        out_rows = r[starts]
-        counts = np.bincount(out_rows, minlength=n_rows)
-        rpt = np.zeros(n_rows + 1, dtype=INDEX_DTYPE)
-        np.cumsum(counts, out=rpt[1:])
-        return CSRMatrix(rpt, out_col, out_val.astype(self.dtype), self.shape,
-                         check=False)
+        order, starts, rpt = sort_pairs(self.row, self.col, self.shape[0])
+        out_val = np.add.reduceat(self.val[order], starts)
+        return CSRMatrix(rpt, self.col[order[starts]],
+                         out_val.astype(self.dtype), self.shape, check=False)
 
     def device_bytes(self, precision: Precision | str | None = None) -> int:
         """Bytes on the simulated device: two 4-byte indices + value per entry."""

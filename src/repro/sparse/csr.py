@@ -26,6 +26,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.sparse.coo import COOMatrix
 
 
+def segment_sums(values: np.ndarray, rpt: np.ndarray) -> np.ndarray:
+    """Sum of ``values`` over each segment ``rpt[i]:rpt[i + 1]``, in the
+    dtype of ``values``; an empty segment sums to zero."""
+    out = np.zeros(rpt.shape[0] - 1, dtype=values.dtype)
+    nz = rpt[1:] > rpt[:-1]
+    starts = rpt[:-1][nz]
+    if starts.size:
+        out[nz] = np.add.reduceat(values, starts)
+    return out
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     """``a`` made read-only, copied first if some writable array can
     still reach its memory (a view of a writable base, or of a foreign
@@ -347,13 +358,7 @@ class CSRMatrix:
         if x.shape[0] != self.n_cols:
             raise ShapeMismatchError(
                 f"matvec: vector of length {x.shape[0]} against {self.shape}")
-        prod = self.val * x[self.col]
-        out = np.zeros(self.n_rows, dtype=np.result_type(self.dtype, x.dtype))
-        nz = self.row_nnz() > 0
-        starts = self.rpt[:-1][nz]
-        if starts.size:
-            out[nz] = np.add.reduceat(prod, starts)
-        return out
+        return segment_sums(self.val * x[self.col], self.rpt)
 
     def __matmul__(self, other: "CSRMatrix") -> "CSRMatrix":
         """Convenience SpGEMM using the reference algorithm."""

@@ -16,6 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.errors import ShapeMismatchError
+from repro.sparse.coo import sort_pairs
+from repro.sparse.csr import CSRMatrix, segment_sums
 from repro.types import INDEX_DTYPE
 
 
@@ -35,14 +37,8 @@ def intermediate_product_counts(A, B) -> np.ndarray:
     paper's kernel reads -- and is the upper bound on each output row's nnz.
     """
     check_multiplicable(A, B)
-    b_row_nnz = np.diff(B.rpt)                     # nnz of every B row
-    per_nonzero = b_row_nnz[A.col]                 # one count per A nonzero
-    counts = np.zeros(A.n_rows, dtype=INDEX_DTYPE)
-    nz_rows = np.diff(A.rpt) > 0
-    starts = A.rpt[:-1][nz_rows]
-    if starts.size:
-        counts[nz_rows] = np.add.reduceat(per_nonzero, starts)
-    return counts
+    # one count per A nonzero: the nnz of the B row it selects
+    return segment_sums(np.diff(B.rpt)[A.col], A.rpt)
 
 
 class Expansion(NamedTuple):
@@ -78,14 +74,9 @@ def expand_products(A, B, *, with_values: bool = True) -> Expansion:
     ``with_values=False`` skips the value multiply (symbolic-only callers).
     """
     check_multiplicable(A, B)
-    b_row_nnz = np.diff(B.rpt)
-    run_len = b_row_nnz[A.col]                       # products per A nonzero
+    run_len = np.diff(B.rpt)[A.col]                  # products per A nonzero
     total = int(run_len.sum())
-    row_counts = np.zeros(A.n_rows, dtype=INDEX_DTYPE)
-    nz_rows = np.diff(A.rpt) > 0
-    starts = A.rpt[:-1][nz_rows]
-    if starts.size:
-        row_counts[nz_rows] = np.add.reduceat(run_len, starts)
+    row_counts = segment_sums(run_len, A.rpt)
 
     if total == 0:
         empty_i = np.empty(0, dtype=INDEX_DTYPE)
@@ -205,11 +196,7 @@ def build_sort_recipe(A, B) -> SortRecipe:
     n_rows, n_cols = A.n_rows, B.n_cols
     shape = (n_rows, n_cols)
     run_len = np.diff(B.rpt)[A.col]
-    row_counts = np.zeros(n_rows, dtype=INDEX_DTYPE)
-    nz_rows = np.diff(A.rpt) > 0
-    a_starts = A.rpt[:-1][nz_rows]
-    if a_starts.size:
-        row_counts[nz_rows] = np.add.reduceat(run_len, a_starts)
+    row_counts = segment_sums(run_len, A.rpt)
     prod_rpt = np.zeros(n_rows + 1, dtype=INDEX_DTYPE)
     np.cumsum(row_counts, out=prod_rpt[1:])
     total = int(prod_rpt[-1])
@@ -401,41 +388,26 @@ def contract(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
              shape: tuple[int, int], dtype: np.dtype):
     """Sort products by (row, col) and sum duplicates into canonical CSR.
 
-    The "S" and "C" of ESC.  Returns a :class:`~repro.sparse.csr.CSRMatrix`.
+    The "S" and "C" of ESC: :func:`~repro.sparse.coo.sort_pairs`, then
+    each run summed in float64 and cast to ``dtype``.  Returns a
+    :class:`~repro.sparse.csr.CSRMatrix`.
     """
-    from repro.sparse.csr import CSRMatrix
-
-    n_rows = shape[0]
     if rows.shape[0] == 0:
         m = CSRMatrix.empty(shape)
         m.val = m.val.astype(dtype)
         return m
-    order = np.lexsort((cols, rows))
-    r, c, v = rows[order], cols[order], vals[order]
-    new_run = np.empty(r.shape[0], dtype=bool)
-    new_run[0] = True
-    new_run[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
-    starts = np.flatnonzero(new_run)
-    out_val = np.add.reduceat(v.astype(np.float64), starts).astype(dtype)
-    out_col = c[starts]
-    counts = np.bincount(r[starts], minlength=n_rows)
-    rpt = np.zeros(n_rows + 1, dtype=INDEX_DTYPE)
-    np.cumsum(counts, out=rpt[1:])
-    return CSRMatrix(rpt, out_col, out_val, shape, check=False)
+    order, starts, rpt = sort_pairs(rows, cols, shape[0])
+    out_val = np.add.reduceat(vals[order].astype(np.float64, copy=False),
+                              starts).astype(dtype)
+    return CSRMatrix(rpt, cols[order[starts]], out_val, shape, check=False)
 
 
 def symbolic_row_nnz(A, B) -> np.ndarray:
     """Exact output nnz per row of ``A @ B`` (duplicates merged), vectorized.
 
     Used as an oracle for the hash-based symbolic phase: counts distinct
-    columns per output row via a sorted unique over the expansion.
+    columns per output row with the pair sort over the expansion.
     """
     exp = expand_products(A, B, with_values=False)
-    if exp.n_products == 0:
-        return np.zeros(A.n_rows, dtype=INDEX_DTYPE)
-    order = np.lexsort((exp.cols, exp.rows))
-    r, c = exp.rows[order], exp.cols[order]
-    new_run = np.empty(r.shape[0], dtype=bool)
-    new_run[0] = True
-    new_run[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
-    return np.bincount(r[new_run], minlength=A.n_rows).astype(INDEX_DTYPE)
+    _, _, rpt = sort_pairs(exp.rows, exp.cols, A.n_rows)
+    return np.diff(rpt)

@@ -4,15 +4,17 @@ The tile family's knobs are genuinely different from both the GPU's
 Table I space and the CPU's thread/block space: the tile edge fixes the
 format itself, and the two density cutoffs drive step 2's per-tile
 accumulator selection (dense array vs bitmap vs sorted list).
-:class:`TileParams` mirrors the ``ParamOverrides`` / ``CPUParams`` API
-surface -- ``is_default`` / ``switches`` / ``to_dict`` / ``from_dict`` /
-``describe`` -- so the autotuner, plan-cache keys and the persistent
+:class:`TileParams` shares the one parameter protocol,
+:class:`~repro.types.TunableParams`, with ``ParamOverrides`` and
+``CPUParams``, so the autotuner, plan-cache keys and the persistent
 tuning store treat the third family uniformly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+
+from repro.types import TunableParams
 
 #: Built-in defaults (see :mod:`repro.tile.plan` resolvers).
 DEFAULT_TILE_SIZE = 16
@@ -21,7 +23,7 @@ DEFAULT_LIST_FRAC = 0.125
 
 
 @dataclass(frozen=True)
-class TileParams:
+class TileParams(TunableParams):
     """Tuned deviations from the tile algorithm's built-in defaults.
 
     Every field defaults to ``None`` = "keep the built-in value".
@@ -47,23 +49,6 @@ class TileParams:
     dense_frac: float | None = None
     list_frac: float | None = None
 
-    def is_default(self) -> bool:
-        """True when no field deviates from the built-in defaults."""
-        return all(getattr(self, f.name) is None for f in fields(self))
-
-    def switches(self) -> tuple:
-        """Canonical ``((field, value), ...)`` of the *set* fields only,
-        sorted by name -- folded into plan-cache keys, so a tuned and an
-        untuned run of the same pattern never share a plan."""
-        return tuple(sorted(
-            (f.name, getattr(self, f.name)) for f in fields(self)
-            if getattr(self, f.name) is not None))
-
-    def to_dict(self) -> dict:
-        """JSON-representable form (set fields only; round-trips through
-        :meth:`from_dict`)."""
-        return {k: v for k, v in self.switches()}
-
     @classmethod
     def from_dict(cls, d: dict) -> "TileParams":
         """Inverse of :meth:`to_dict`; unknown keys raise ``TypeError``."""
@@ -71,9 +56,3 @@ class TileParams:
         for k, v in d.items():
             kwargs[k] = int(v) if k == "tile_size" else float(v)
         return cls(**kwargs)
-
-    def describe(self) -> str:
-        """Compact human-readable form (``default`` when nothing is set)."""
-        if self.is_default():
-            return "default"
-        return " ".join(f"{k}={v}" for k, v in self.switches())

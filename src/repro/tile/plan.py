@@ -31,7 +31,7 @@ from repro.core.count_products import chunk_sums
 from repro.gpu.cost import kernel_duration_alone
 from repro.gpu.device import DeviceSpec
 from repro.gpu.kernel import BlockWorks, KernelLaunch
-from repro.sparse.csr import CSRMatrix
+from repro.sparse.csr import CSRMatrix, segment_sums
 from repro.sparse.product import product_for
 from repro.tile.format import TiledCSR
 from repro.tile.params import (DEFAULT_DENSE_FRAC, DEFAULT_LIST_FRAC,
@@ -85,16 +85,6 @@ def tile_shared_bytes(tile: int, precision: Precision | str,
 def _block_threads(tile: int) -> int:
     """One thread per tile cell, clamped to a sane CUDA block."""
     return max(32, min(256, tile * tile))
-
-
-def _segment_sums(values: np.ndarray, rpt: np.ndarray) -> np.ndarray:
-    """Sum ``values`` over the segments delimited by ``rpt``."""
-    out = np.zeros(rpt.shape[0] - 1, dtype=np.float64)
-    if values.size:
-        nz = np.diff(rpt) > 0
-        out[nz] = np.add.reduceat(np.asarray(values, dtype=np.float64),
-                                  rpt[:-1][nz])
-    return out
 
 
 # -- per-instance tile statistics --------------------------------------------
@@ -182,15 +172,14 @@ def tile_stats(A: CSRMatrix, B: CSRMatrix, C: CSRMatrix,
     # candidate pairs: every A tile (I, K) meets the nonempty B tiles of
     # tile row K; summed per A tile row without materializing the pairs
     pairs_per_a_tile = b_cnt[ta.tile_col]
-    pairs = _segment_sums(pairs_per_a_tile, ta.tile_rpt)
-    a_ent = _segment_sums(ta.tile_nnz(), ta.tile_rpt)
+    pairs = segment_sums(pairs_per_a_tile, ta.tile_rpt)
+    a_ent = segment_sums(ta.tile_nnz().astype(np.float64), ta.tile_rpt)
     a_tiles = ta.tiles_per_row().astype(np.float64)
 
     c_tiles = tc.tiles_per_row().astype(np.float64)
-    c_nnz = _segment_sums(tc.tile_nnz(), tc.tile_rpt)
-    prod = chunk_sums(np.asarray(row_products, dtype=np.float64), tile)
-    if prod.shape[0] < tc.tile_rows:            # trailing empty tile rows
-        prod = np.pad(prod, (0, tc.tile_rows - prod.shape[0]))
+    c_nnz = segment_sums(tc.tile_nnz().astype(np.float64), tc.tile_rpt)
+    # one chunk per tile row (zero rows make C's one empty tile row)
+    prod = chunk_sums(row_products, tile)
 
     # accumulator ops: distribute each tile row's products over its C
     # tiles proportionally to tile nnz, weighted by the class factor
@@ -200,7 +189,7 @@ def tile_stats(A: CSRMatrix, B: CSRMatrix, C: CSRMatrix,
     np.divide(prod, c_nnz, out=share, where=c_nnz > 0)
     per_tile_ops = (np.repeat(share, tc.tiles_per_row())
                     * tc.tile_nnz() * factors)
-    acc_ops = _segment_sums(per_tile_ops, tc.tile_rpt)
+    acc_ops = segment_sums(per_tile_ops, tc.tile_rpt)
 
     return TileStats(
         ta=ta, tb=tb, tc=tc, a_ent=a_ent, a_tiles=a_tiles, pairs=pairs,

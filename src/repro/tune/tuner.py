@@ -107,16 +107,6 @@ class TuneResult:
         )
 
 
-class _SketchRows:
-    """Adapter giving the planners the one thing they read off ``A``."""
-
-    def __init__(self, row_nnz_a):
-        self._nnz = row_nnz_a
-
-    def row_nnz(self):
-        return self._nnz
-
-
 def candidate_space(device: DeviceSpec) -> list[ParamOverrides]:
     """The Table I search grid for ``device``.
 
@@ -190,14 +180,13 @@ def modeled_total(sketch: MatrixSketch, device: DeviceSpec,
     except DeviceConfigError:
         return float("inf")
     nnz_a, nprod, nnz_out = sketch.reconstruct()
-    shim = _SketchRows(nnz_a)
     try:
         if overrides.symbolic == "estimate":
             bounds = np.minimum(
                 np.ceil((1.0 + DEFAULT_MARGIN) * nnz_out).astype(np.int64),
                 nprod.astype(np.int64))
             num_groups = group_rows(bounds, table, "estimate")
-            num = plan_numeric(shim, num_groups, nprod, nnz_out, p, device)
+            num = plan_numeric(nnz_a, num_groups, nprod, nnz_out, p, device)
             total = (kernel_duration_alone(
                          estimate_sample_kernel(nnz_a, DEFAULT_SAMPLES),
                          device, p)
@@ -205,8 +194,8 @@ def modeled_total(sketch: MatrixSketch, device: DeviceSpec,
         else:
             sym_groups = group_rows(nprod, table, "products")
             num_groups = group_rows(nnz_out, table, "nnz")
-            sym = plan_symbolic(shim, sym_groups, nprod, nnz_out, device)
-            num = plan_numeric(shim, num_groups, nprod, nnz_out, p, device)
+            sym = plan_symbolic(nnz_a, sym_groups, nprod, nnz_out, device)
+            num = plan_numeric(nnz_a, num_groups, nprod, nnz_out, p, device)
             total = (_stream_makespan(sym.kernels, device, p)
                      + _stream_makespan(num.kernels, device, p))
             if sym.retry_kernel is not None:

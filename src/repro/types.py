@@ -14,6 +14,8 @@ real CUDA implementation would, via :attr:`Precision.index_bytes`.
 from __future__ import annotations
 
 import enum
+from dataclasses import Field, fields
+from typing import Any, ClassVar
 
 import numpy as np
 
@@ -95,3 +97,43 @@ def next_pow2_array(n: "np.ndarray") -> "np.ndarray":
     for shift in (1, 2, 4, 8, 16, 32):
         v |= v >> shift
     return v + 1
+
+
+class TunableParams:
+    """The tunable-parameter protocol shared by every family's param type.
+
+    A subclass is a frozen dataclass whose fields all default to
+    ``None`` = "keep the built-in value" (the GPU's
+    :class:`~repro.core.params.ParamOverrides`, the tile family's
+    :class:`~repro.tile.params.TileParams`, the CPU's
+    :class:`~repro.cpu.params.CPUParams`), and which decodes its own
+    store entries in ``from_dict``.  The autotuner, the plan-cache keys
+    and the persistent tuning store read every family through these
+    four methods.
+    """
+
+    #: set on every subclass by ``@dataclass``
+    __dataclass_fields__: ClassVar[dict[str, Field[Any]]]
+
+    def is_default(self) -> bool:
+        """True when no field deviates from the built-in defaults."""
+        return not self.switches()
+
+    def switches(self) -> tuple:
+        """Canonical ``((field, value), ...)`` of the *set* fields only,
+        sorted by name -- folded into plan-cache keys, so a tuned and an
+        untuned run of the same pattern never share a plan."""
+        return tuple(sorted(
+            (f.name, getattr(self, f.name)) for f in fields(self)
+            if getattr(self, f.name) is not None))
+
+    def to_dict(self) -> dict:
+        """JSON-representable form (set fields only; round-trips through
+        ``from_dict``)."""
+        return dict(self.switches())
+
+    def describe(self) -> str:
+        """Compact human-readable form (``default`` when nothing is set)."""
+        if self.is_default():
+            return "default"
+        return " ".join(f"{k}={v}" for k, v in self.switches())

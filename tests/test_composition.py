@@ -13,6 +13,10 @@ on the KNL.  The contract:
   :meth:`~repro.tune.TunedSpGEMM.last_overrides` reports what was
   applied;
 * a leaf with nothing to tune runs no search.
+
+A product over zero rows gets the same contract from every leaf under
+each wrapper alone: the empty result, with every conservation law
+holding (so no simulated allocation outlives the run).
 """
 
 import itertools
@@ -27,7 +31,9 @@ from repro.cpu.device import KNL64
 from repro.errors import OptionsError
 from repro.gpu.device import P100
 from repro.obs import events as E
+from repro.obs.metrics import check_conservation
 from repro.sparse import generators
+from repro.sparse.csr import CSRMatrix
 from repro.sparse.reference import spgemm_reference
 
 #: (tune, resilient, engine) -- every wrapper combination on one device
@@ -81,3 +87,29 @@ def test_leaf_under_wrappers(operand, algorithm, tune, resilient, engine,
         assert runner.last_overrides() == leaves[0].params
     assert all(isinstance(leaf, leaf_cls) for leaf in leaves)
     assert applied == [leaf.params.describe() for leaf in leaves]
+
+
+#: one wrapper at a time, as option fields
+ALONE = {"bare": {}, "tune": {"tune": True}, "resilient": {"resilient": True},
+         "engine": {"engine": True}, "pool": {"devices": 2}}
+
+
+@pytest.mark.parametrize("shapes", [((0, 5), (5, 3)), ((0, 0), (0, 0))],
+                         ids=["0x5@5x3", "0x0@0x0"])
+@pytest.mark.parametrize("wrapper", sorted(ALONE))
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_zero_row_product(algorithm, wrapper, shapes):
+    """A per-row kernel over zero rows is one block with no work, so a
+    product with no rows runs like any other."""
+    A, B = CSRMatrix.empty(shapes[0]), CSRMatrix.empty(shapes[1])
+    device = KNL64 if ALGORITHMS[algorithm].backend_name == "cpu" else P100
+    options = SpGEMMOptions(algorithm=algorithm, device=device,
+                            **ALONE[wrapper])
+    res = runner_for(options).multiply(A, B, precision=options.precision,
+                                       device=device)
+    ref = spgemm_reference(A, B)
+    assert res.matrix.shape == ref.shape
+    assert np.array_equal(res.matrix.rpt, ref.rpt)
+    assert np.array_equal(res.matrix.col, ref.col)
+    assert np.array_equal(res.matrix.val, ref.val)
+    check_conservation(res.report)

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core.count_products import count_products
 from repro.core.spgemm import HashSpGEMM
 from repro.engine import SpGEMMEngine
 from repro.errors import OptionsError
@@ -32,6 +31,7 @@ from repro.obs.metrics import (check_conservation,
 from repro.options import SpGEMMOptions, multiply, runner_for
 from repro.sparse import generators
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.expansion import intermediate_product_counts
 from repro.sparse.reference import spgemm_reference
 
 pytestmark = pytest.mark.estimate
@@ -99,7 +99,7 @@ class TestEstimator:
 
     def test_bound_clamped_to_products(self, skewed):
         est = estimate_row_nnz(skewed, skewed)
-        products = count_products(skewed, skewed)
+        products = intermediate_product_counts(skewed, skewed)
         assert np.all(est.bound <= products)
         assert np.all(est.bound >= 0)
 
@@ -109,7 +109,7 @@ class TestEstimator:
         assert np.array_equal(est.sampled, nnz_a > DEFAULT_SAMPLES)
         assert est.sampled_rows + est.exact_rows == skewed.n_rows
         # rows with <= samples nnz carry the exact product count
-        products = count_products(skewed, skewed)
+        products = intermediate_product_counts(skewed, skewed)
         exact = ~est.sampled
         assert np.array_equal(est.bound[exact], products[exact])
 
@@ -230,7 +230,7 @@ class TestObservability:
         m = metrics_from_report(r.report)
         overalloc = m.total("estimate_overalloc_nnz_total")
         assert overalloc >= 0
-        nprod = int(count_products(skewed, skewed).sum())
+        nprod = int(intermediate_product_counts(skewed, skewed).sum())
         assert overalloc <= nprod
 
 

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.core.count_products import count_products
 from repro.core.resilient import merge_panel_reports, split_row_panels
 from repro.errors import (
     DeviceMemoryError,
@@ -18,6 +17,7 @@ from repro.gpu.device import P100
 from repro.gpu.faults import FaultPlan
 from repro.sparse import generators
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.expansion import intermediate_product_counts
 from repro.sparse.reference import spgemm_reference
 
 
@@ -68,7 +68,7 @@ def test_chunked_product_equals_reference(seed, n_panels):
     """Panel-by-panel multiply concatenates to exactly the full product."""
     A = generators.random_csr(50, 50, 5, rng=seed)
     B = generators.random_csr(50, 40, 4, rng=seed + 1)
-    panels = split_row_panels(count_products(A, B), n_panels)
+    panels = split_row_panels(intermediate_product_counts(A, B), n_panels)
     C = CSRMatrix.vstack(
         [spgemm_reference(A.row_panel(lo, hi), B) for lo, hi in panels])
     assert C.allclose(spgemm_reference(A, B))

@@ -79,6 +79,52 @@ class TestProductCache:
         assert res.n_products == stats.n_products
         np.testing.assert_array_equal(res.row_products, stats.row_products)
 
+    def test_concurrent_callers_agree_with_fresh_products(self, monkeypatch):
+        """Every serving worker shares the product cache.  Eight threads
+        make 3000 calls each over 12 operands into a 4-entry cache under
+        a 1 us switch interval, so puts keep evicting while other
+        threads read.  Without the cache's lock two threads pop the same
+        LRU entry (a ``KeyError``) or lose a size update; with it every
+        product equals one computed alone and the cache's size stays its
+        entry count."""
+        pool = [generators.random_csr(30, 30, 1 + k % 4,
+                                      rng=np.random.default_rng(k))
+                for k in range(12)]
+        expected = [compute_product(M, M).C for M in pool]
+        picks = [np.random.default_rng(seed).integers(12, size=3000).tolist()
+                 for seed in range(8)]
+        cache = perf.LRUCache(4)
+        monkeypatch.setattr(product, "_cache", cache)
+        start = threading.Barrier(8)
+        errors: list[str] = []
+
+        def worker(seed: int) -> None:
+            start.wait()
+            try:
+                for i in picks[seed]:
+                    C = compute_product(pool[i], pool[i]).C
+                    if not (np.array_equal(C.col, expected[i].col)
+                            and np.array_equal(C.val, expected[i].val)):
+                        errors.append(f"thread {seed}: product {i} differs")
+            except Exception as e:      # surfaced by the assert below
+                errors.append(repr(e))
+
+        threads = [threading.Thread(target=worker, args=(k,), daemon=True)
+                   for k in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        # a lost update on the cache's bookkeeping would break this
+        assert len(cache) <= 4 and cache.total == len(cache)
+
 
 @pytest.fixture
 def builds(monkeypatch):

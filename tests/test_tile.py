@@ -22,6 +22,7 @@ from repro.errors import SparseFormatError
 from repro.gpu.device import P100
 from repro.sparse import generators as G
 from repro.sparse.coo import COOMatrix
+from repro.sparse.csr import CSRMatrix
 from repro.sparse.product import product_for
 from repro.sparse.reference import spgemm_reference
 from repro.tile import TileParams, TileSpGEMM, TiledCSR
@@ -38,6 +39,8 @@ SETTINGS = settings(max_examples=40, deadline=None,
 
 @st.composite
 def csr_matrices(draw, max_dim=48, max_nnz=160):
+    """Canonical CSR, or CSR keeping repeated ``(row, col)`` entries in
+    sorted order: the tiled format must not merge them."""
     n_rows = draw(st.integers(1, max_dim))
     n_cols = draw(st.integers(1, max_dim))
     nnz = draw(st.integers(0, max_nnz))
@@ -48,7 +51,12 @@ def csr_matrices(draw, max_dim=48, max_nnz=160):
     vals = draw(hnp.arrays(np.float64, nnz,
                            elements=st.floats(-8, 8, allow_nan=False,
                                               width=32)))
-    return COOMatrix(rows, cols, vals, (n_rows, n_cols)).to_csr()
+    if not draw(st.booleans()):
+        return COOMatrix(rows, cols, vals, (n_rows, n_cols)).to_csr()
+    order = np.lexsort((cols, rows))
+    rpt = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows))))
+    return CSRMatrix(rpt, cols[order], vals[order], (n_rows, n_cols),
+                     check=False)
 
 
 @pytest.fixture
