@@ -64,9 +64,9 @@ def pass_over_rows_kernel(name: str, n_rows: int, words_per_row: float,
 
     ``words_per_row`` counts the 4-byte words read plus written per row.
     Used for the grouping histogram/scan/scatter passes and the row-pointer
-    exclusive scan -- all bandwidth-bound, perfectly coalesced.
+    exclusive scan -- all bandwidth-bound, perfectly coalesced.  Zero
+    rows make one block with no work, as in :func:`chunk_sums`.
     """
-    n_rows = max(1, n_rows)
     blocks = max(1, -(-n_rows // BLOCK_THREADS))
     per_block = np.full(blocks, BLOCK_THREADS * 4.0 * words_per_row)
     per_block[-1] = (n_rows - (blocks - 1) * BLOCK_THREADS) * 4.0 * words_per_row

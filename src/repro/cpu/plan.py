@@ -90,9 +90,9 @@ def pass_over_rows_cpu_kernel(name: str, n_rows: int, words_per_row: float,
                               stream: int = 0,
                               phase: str = "setup") -> KernelLaunch:
     """Streaming pass over per-row arrays (scans, scatters): perfectly
-    coalesced, one op per word."""
-    n_rows = max(1, n_rows)
-    n_chunks = -(-n_rows // block_rows)
+    coalesced, one op per word.  Zero rows make one chunk with no work,
+    as in :func:`~repro.core.count_products.chunk_sums`."""
+    n_chunks = max(1, -(-n_rows // block_rows))
     per_chunk = np.full(n_chunks, block_rows * 4.0 * words_per_row)
     per_chunk[-1] = (n_rows - (n_chunks - 1) * block_rows) * 4.0 * words_per_row
     works = BlockWorks(flops=per_chunk / 4.0,

@@ -11,7 +11,7 @@ The expansion is fully vectorized: no Python-level loop over rows.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -159,19 +159,45 @@ class SortRecipe(NamedTuple):
         return sum(int(a.nbytes) for a in arrays if a is not None)
 
 
-def _fused_key_dtype(n_rows: int, n_cols: int):
-    """Narrowest integer dtype holding every ``row * n_cols + col`` key of
-    an ``n_rows x n_cols`` output, or ``None`` when int64 might overflow."""
-    cells = n_rows * n_cols
-    if cells < 2**31:
-        return np.int32
-    return np.int64 if cells < 2**62 else None
-
-
 #: Products per row panel of a recipe build.  Every per-product
 #: temporary of the build is one panel long, so malloc recycles them
 #: from its heap instead of faulting in fresh whole-recipe arrays.
 BUILD_PANEL = 1 << 16
+
+
+def _column_keys(B, longest_row: int) -> tuple[np.ndarray, int]:
+    """Sort keys of B's columns and their count: the columns themselves,
+    or, when a one-row panel of ``longest_row`` products could not fit a
+    column above its product index in 63 bits, each column's rank among
+    B's distinct columns (the same order, so the same recipe)."""
+    if B.n_cols <= 1 << (63 - (longest_row - 1).bit_length()):
+        return B.col, B.n_cols
+    distinct = np.unique(B.col)
+    return np.searchsorted(distinct, B.col), int(distinct.shape[0])
+
+
+def _row_panels(prod_rpt: np.ndarray, n_keys: int
+                ) -> Iterator[tuple[int, int, int]]:
+    """The row panels ``(r0, r1, bits)`` of a recipe build.
+
+    ``prod_rpt`` is the per-row product pointer.  A panel holds at most
+    :data:`BUILD_PANEL` products (a longer row is a panel alone) and no
+    more rows than keep its ``(r1 - r0) * n_keys`` keys above ``bits``
+    bits of product index within 63 bits; panels of no products are
+    skipped.
+    """
+    total = int(prod_rpt[-1])
+    r0 = p0 = 0
+    while p0 < total:
+        r1 = int(np.searchsorted(prod_rpt, p0 + BUILD_PANEL, "right")) - 1
+        r1 = max(r1, r0 + 1)
+        bits = (int(prod_rpt[r1]) - p0 - 1).bit_length()
+        r1 = min(r1, r0 + max(1, (1 << (63 - bits)) // n_keys))
+        p1 = int(prod_rpt[r1])
+        if p1 > p0:
+            # a capped panel is shorter: a one-row panel needs its own width
+            yield r0, r1, (p1 - p0 - 1).bit_length()
+        r0, p0 = r1, p1
 
 
 def build_sort_recipe(A, B) -> SortRecipe:
@@ -184,17 +210,20 @@ def build_sort_recipe(A, B) -> SortRecipe:
     ``starts`` reproduces the contraction exactly.
 
     Products are emitted row by row and the sort never crosses a row,
-    so A's rows are cut into panels of at most :data:`BUILD_PANEL`
-    products (a longer row is a panel alone).  One stable argsort of a
-    panel's local fused key ``(row - r0) * n_cols + col`` equals
-    ``lexsort((cols, rows))`` on its products; the key is int32 whenever
-    the panel's range fits, and a one-row panel's key is its column, so
-    no shape overflows it.  Each panel writes its ``a_idx``, ``b_idx``
-    and run boundaries straight into the output arrays.
+    so A's rows are cut into panels (:func:`_row_panels`).  Each
+    product's int64 word holds its panel-local key
+    ``(row - r0) * n_keys + column key`` above its index in the panel,
+    so the words are distinct and one in-place sort of them orders the
+    products as ``lexsort((cols, rows))`` does, ties by index: the low
+    bits are the permutation and the high bits the sorted keys whose
+    changes open the runs.  A column's key is the column itself unless
+    B is too wide for that (:func:`_column_keys`).  Each panel writes its
+    ``a_idx``, ``b_idx`` and run boundaries straight into the output
+    arrays.
     """
     check_multiplicable(A, B)
-    n_rows, n_cols = A.n_rows, B.n_cols
-    shape = (n_rows, n_cols)
+    n_rows = A.n_rows
+    shape = (n_rows, B.n_cols)
     run_len = np.diff(B.rpt)[A.col]
     row_counts = segment_sums(run_len, A.rpt)
     prod_rpt = np.zeros(n_rows + 1, dtype=INDEX_DTYPE)
@@ -210,34 +239,31 @@ def build_sort_recipe(A, B) -> SortRecipe:
     b_idx = np.empty(total, dtype=INDEX_DTYPE)
     new_run = np.empty(total, dtype=bool)
     b_start = B.rpt[A.col]
-    col_key = B.col.astype(np.int32) if n_cols <= 2**31 else B.col
-    # a multi-row panel's key range must fit an int64
-    max_rows = max(1, (2**62 - 1) // n_cols)
-    r0 = p0 = 0
-    while p0 < total:
-        r1 = int(np.searchsorted(prod_rpt, p0 + BUILD_PANEL, "right")) - 1
-        r1 = min(max(r1, r0 + 1), r0 + max_rows)
-        p1 = int(prod_rpt[r1])
-        if p1 > p0:
-            j0, j1 = int(A.rpt[r0]), int(A.rpt[r1])
-            lens = run_len[j0:j1]
-            b_flat = np.arange(p1 - p0, dtype=INDEX_DTYPE)
-            b_flat += np.repeat(b_start[j0:j1] + lens - np.cumsum(lens), lens)
-            key = col_key[b_flat]
-            if r1 - r0 > 1:
-                kdt = _fused_key_dtype(r1 - r0, n_cols)
-                key = key + np.repeat(np.arange(r1 - r0, dtype=kdt)
-                                      * kdt(n_cols), row_counts[r0:r1])
-            order = np.argsort(key, kind="stable")
-            # order is a permutation, so "clip" never clips; the default
-            # "raise" would gather into a buffer and copy it out
-            np.take(b_flat, order, out=b_idx[p0:p1], mode="clip")
-            np.take(np.repeat(np.arange(j0, j1, dtype=INDEX_DTYPE), lens),
-                    order, out=a_idx[p0:p1], mode="clip")
-            key = key[order]
-            new_run[p0] = True
-            np.not_equal(key[1:], key[:-1], out=new_run[p0 + 1:p1])
-        r0, p0 = r1, p1
+    col_key, n_keys = _column_keys(B, int(row_counts.max()))
+    for r0, r1, bits in _row_panels(prod_rpt, n_keys):
+        p0, p1 = int(prod_rpt[r0]), int(prod_rpt[r1])
+        j0, j1 = int(A.rpt[r0]), int(A.rpt[r1])
+        lens = run_len[j0:j1]
+        index = np.arange(p1 - p0, dtype=INDEX_DTYPE)
+        b_flat = np.repeat(b_start[j0:j1] + lens - np.cumsum(lens), lens)
+        b_flat += index
+        words = col_key[b_flat]
+        if r1 - r0 > 1:
+            words += np.repeat(np.arange(0, (r1 - r0) * n_keys, n_keys,
+                                         dtype=INDEX_DTYPE),
+                               row_counts[r0:r1])
+        words <<= bits
+        words |= index
+        words.sort()
+        order = words & ((1 << bits) - 1)
+        # order is a permutation, so "clip" never clips; the default
+        # "raise" would gather into a buffer and copy it out
+        np.take(b_flat, order, out=b_idx[p0:p1], mode="clip")
+        np.take(np.repeat(np.arange(j0, j1, dtype=INDEX_DTYPE), lens),
+                order, out=a_idx[p0:p1], mode="clip")
+        words >>= bits
+        new_run[p0] = True
+        np.not_equal(words[1:], words[:-1], out=new_run[p0 + 1:p1])
     starts = np.flatnonzero(new_run)
     out_col = B.col[b_idx[starts]]
     # every output row opens a run where its products begin

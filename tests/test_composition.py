@@ -113,3 +113,32 @@ def test_zero_row_product(algorithm, wrapper, shapes):
     assert np.array_equal(res.matrix.col, ref.col)
     assert np.array_equal(res.matrix.val, ref.val)
     check_conservation(res.report)
+
+
+#: The streaming passes over per-row arrays each leaf runs
+#: (``pass_over_rows_kernel`` on the GPU, ``pass_over_rows_cpu_kernel``
+#: on the CPU).
+PASS_KERNELS = {"bhsparse": {"bhsparse_binning"},
+                "hash-cpu": {"scan_rpt_c"},
+                "heap-cpu": {"scan_rpt_c"},
+                "propblock": {"scan_rpt_c"},
+                "proposal": {"grouping_symbolic", "scan_rpt_c",
+                             "grouping_numeric"}}
+
+
+@pytest.mark.parametrize("shapes", [((0, 5), (5, 3)), ((0, 0), (0, 0))],
+                         ids=["0x5@5x3", "0x0@0x0"])
+@pytest.mark.parametrize("algorithm", sorted(PASS_KERNELS))
+def test_zero_row_pass_kernels_charge_an_empty_block(algorithm, shapes):
+    """A pass over zero rows is one block with no work: it charges
+    exactly what its leaf's count kernel charges over the same rows."""
+    A, B = CSRMatrix.empty(shapes[0]), CSRMatrix.empty(shapes[1])
+    device = KNL64 if ALGORITHMS[algorithm].backend_name == "cpu" else P100
+    kernels = runner_for(SpGEMMOptions(algorithm=algorithm, device=device)
+                         ).multiply(A, B, device=device).report.kernels
+    count = next(k for k in kernels if k.name.endswith("count_products"))
+    passes = [k for k in kernels if k.name in PASS_KERNELS[algorithm]]
+    assert {k.name for k in passes} == PASS_KERNELS[algorithm]
+    for k in passes:
+        assert (k.n_blocks, k.block_seconds) == (1, count.block_seconds), \
+            k.name

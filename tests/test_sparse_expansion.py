@@ -19,6 +19,7 @@ from repro.sparse.expansion import (REPLAY_CHUNK, SHORT_RUN,
                                     values_from_recipe)
 
 from tests.conftest import to_scipy
+from tests.recipe_oracle import assert_recipe_order
 
 
 def brute_force_counts(A, B):
@@ -159,6 +160,46 @@ def _sparse_square(n, coords):
     return COOMatrix(rows, cols, np.full(len(coords), 1.5), (n, n)).to_csr()
 
 
+def _scrambled(rng, shape, max_row, *, repeats):
+    """A matrix whose rows list their columns in random order and, with
+    ``repeats``, repeat some: valid CSR, but not canonical."""
+    n_rows, n_cols = shape
+    rows = [rng.integers(0, n_cols, length) if repeats
+            else rng.permutation(n_cols)[:length]
+            for length in rng.integers(0, max_row + 1, n_rows)]
+    rpt = np.concatenate(([0], np.cumsum([r.shape[0] for r in rows])))
+    return CSRMatrix(rpt, np.concatenate(rows),
+                     rng.standard_normal(int(rpt[-1])), shape)
+
+
+@st.composite
+def scrambled_pairs(draw, max_dim=10, max_row=8):
+    """``(A, B, panel)``: rows in any column order, repeats included, B's
+    columns spread over up to ``2^59`` times its drawn width (past the
+    width whose columns fit a word beside the product index), and a
+    :data:`~repro.sparse.expansion.BUILD_PANEL` to build with."""
+    n, k, m = (draw(st.integers(1, max_dim)) for _ in range(3))
+    spread = draw(st.sampled_from([1, 2**30, 2**59]))
+
+    def operand(n_rows, n_cols, scale):
+        rows = draw(st.lists(st.lists(st.integers(0, n_cols - 1),
+                                      max_size=max_row),
+                             min_size=n_rows, max_size=n_rows))
+        rpt = np.concatenate(([0], np.cumsum([len(r) for r in rows])))
+        col = np.array([c * scale for r in rows for c in r], dtype=np.int64)
+        val = draw(hnp.arrays(np.float64, col.shape[0],
+                              elements=st.floats(-1e6, 1e6)))
+        return CSRMatrix(rpt, col, val, (n_rows, n_cols * scale))
+
+    panel = draw(st.sampled_from([1, 5, 64, expansion.BUILD_PANEL]))
+    return operand(n, k, 1), operand(k, m, spread), panel
+
+
+def _product_rpt(recipe):
+    """The per-row product pointer a recipe build cuts its panels on."""
+    return np.concatenate(([0], np.cumsum(recipe.row_counts)))
+
+
 class TestSortRecipe:
     """A recipe replays ``contract(expand_products(...))`` bit for bit."""
 
@@ -171,6 +212,7 @@ class TestSortRecipe:
         assert recipe.shape == C.shape
         assert recipe.rpt.dtype == recipe.col.dtype == np.int64
         assert recipe.a_idx.dtype == recipe.b_idx.dtype == np.int64
+        assert_recipe_order(recipe, A, B)
         assert recipe.rpt.tobytes() == C.rpt.tobytes()
         assert recipe.col.tobytes() == C.col.tobytes()
         vals = values_from_recipe(recipe, A, B).astype(A.dtype)
@@ -208,20 +250,79 @@ class TestSortRecipe:
         assert build_sort_recipe(A, B).n_products > chunk
         self._assert_replays_contraction(A, B)
 
-    @pytest.mark.parametrize("n, key_dtype", [(46340, np.int32),
-                                              (46341, np.int64)])
-    def test_fused_key_width_at_the_int32_boundary(self, n, key_dtype):
+    @pytest.mark.parametrize("n", [46340, 46341])
+    def test_squares_across_the_int32_boundary(self, n):
         # 46340^2 < 2^31 <= 46341^2: the corner products reach the
-        # largest key n*n - 1, which an int32 key would wrap, misordering
-        # row n - 1 on the wide side
-        assert expansion._fused_key_dtype(n, n) is key_dtype
+        # largest key n*n - 1 of a one-panel build, past an int32 on
+        # the wide side
         A = _sparse_square(n, [(0, n - 1), (1, 1), (n - 2, 0),
                                (n - 1, 0), (n - 1, n - 1)])
         self._assert_replays_contraction(A, A)
 
-    def test_fused_key_falls_back_beyond_int64(self):
-        assert expansion._fused_key_dtype(2**31, 2**31) is None
-        assert expansion._fused_key_dtype(2**31, 2**30) is np.int64
+    @pytest.mark.parametrize("n_products, n_cols, ranked", [
+        (2, 2**62, False),        # 62 key bits + 1 index bit = 63
+        (2, 2**62 + 1, True),     # 63 + 1 = 64
+        (3, 2**61, False),        # 61 + 2 = 63
+        (3, 2**61 + 1, True),     # 62 + 2 = 64
+    ])
+    def test_one_row_panel_word_width(self, n_products, n_cols, ranked):
+        # one A row over B rows of one product each, alternating between
+        # B's last and first columns: past 63 bits B's columns are keyed
+        # by rank, or the last column's words would wrap negative
+        A = CSRMatrix(np.array([0, n_products]), np.arange(n_products),
+                      np.arange(1.0, n_products + 1), (1, n_products))
+        B = CSRMatrix(np.arange(n_products + 1),
+                      np.resize([n_cols - 1, 0], n_products),
+                      np.linspace(1.5, 2.5, n_products), (n_products, n_cols))
+        col_key, n_keys = expansion._column_keys(B, n_products)
+        if ranked:
+            assert n_keys == 2
+            np.testing.assert_array_equal(col_key,
+                                          np.resize([1, 0], n_products))
+        else:
+            assert col_key is B.col and n_keys == n_cols
+        recipe = build_sort_recipe(A, B)
+        assert list(expansion._row_panels(_product_rpt(recipe), n_keys)) == [
+            (0, 1, (n_products - 1).bit_length())]
+        self._assert_replays_contraction(A, B)
+
+    @pytest.mark.parametrize("n_cols, panels", [
+        (2**60, [(0, 2, 2)]),                  # 61 key bits + 2 = 63
+        (2**60 + 1, [(0, 1, 1), (1, 2, 1)]),   # 62 + 2 = 64: split
+        # split to one row, a panel takes its own index width: 62 + 1
+        (2**62, [(0, 1, 1), (1, 2, 1)]),
+    ])
+    def test_multi_row_panel_word_width(self, n_cols, panels):
+        # two A rows of two products each, B's last column before its
+        # first: a panel of both rows keys row 1's last column at
+        # 2 * n_cols - 1, which must fit above 2 index bits
+        A = CSRMatrix(np.array([0, 2, 4]), np.array([0, 1, 1, 0]),
+                      np.arange(1.0, 5.0), (2, 2))
+        B = CSRMatrix(np.array([0, 1, 2]), np.array([n_cols - 1, 0]),
+                      np.array([1.5, 2.5]), (2, n_cols))
+        col_key, n_keys = expansion._column_keys(B, 2)
+        assert col_key is B.col
+        recipe = build_sort_recipe(A, B)
+        assert list(expansion._row_panels(_product_rpt(recipe),
+                                          n_keys)) == panels
+        self._assert_replays_contraction(A, B)
+
+    @pytest.mark.parametrize("n_cols", [7, 2**62 + 5])
+    def test_no_argsort(self, rng, n_cols):
+        # the words are distinct, so any sort gives the stable order: the
+        # build needs no argsort, at any width
+        A = _scrambled(rng, (30, 12), 9, repeats=True)
+        B = _scrambled(rng, (12, 7), 5, repeats=False)
+        B = CSRMatrix(B.rpt, B.col * (n_cols // 7), B.val, (12, n_cols))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("argsort or lexsort called")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "argsort", refuse)
+            mp.setattr(np, "lexsort", refuse)
+            recipe = build_sort_recipe(A, B)
+        assert_recipe_order(recipe, A, B)
 
     @pytest.mark.parametrize("panel", [1, expansion.BUILD_PANEL])
     @pytest.mark.parametrize("n_cols", [2**31 // 3, 2**31 // 3 + 1, 2**31,
@@ -257,6 +358,26 @@ class TestSortRecipe:
             assert got.dtype == want.dtype, field
             assert got.tobytes() == want.tobytes(), field
         self._assert_replays_contraction(A, B)
+
+    @pytest.mark.parametrize("panel", [1, 5, 64, expansion.BUILD_PANEL])
+    def test_ties_broken_by_product_index(self, rng, panel, monkeypatch):
+        # A's rows repeat columns and list them out of order, B's rows are
+        # out of order: equal (row, col) pairs then come from different A
+        # nonzeros, and only their expansion order ranks them
+        monkeypatch.setattr(expansion, "BUILD_PANEL", panel)
+        A = _scrambled(rng, (60, 15), 9, repeats=True)
+        B = _scrambled(rng, (15, 40), 8, repeats=False)
+        assert not A.is_canonical() and not B.is_canonical()
+        self._assert_replays_contraction(A, B)
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(scrambled_pairs())
+    def test_any_scrambled_operands(self, drawn):
+        A, B, panel = drawn
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(expansion, "BUILD_PANEL", panel)
+            self._assert_replays_contraction(A, B)
 
 
 def assert_same_bytes(got, want, run_lengths, what):
