@@ -8,9 +8,10 @@ PWARP group g6 on their own streams (Section IV-C): 305,563 blocks in
 two multi-stream phases, nearly all of them g5's, with g6 waiting
 behind it.  The fixed-point event loop must return the per-block oracle
 loop's records (``tests/scheduler_oracle.py``) on both phases, and the
-one recipe build the product's ``a_idx``, ``b_idx`` and ``starts``
-that the whole-product lexsort gives (``tests/recipe_oracle.py``); the
-log shows the host seconds of each against its oracle's.
+one cold pass the product's ``rpt``, ``col`` and float64 values that
+the whole-product lexsort and ``reduceat`` give
+(``tests/recipe_oracle.py``); the log shows the host seconds of each
+against its oracle's.
 """
 
 import time
@@ -21,7 +22,7 @@ from repro.gpu import scheduler
 from repro.sparse import generators, product
 
 from benchmarks.conftest import run_once
-from tests.recipe_oracle import assert_recipe_order
+from tests.recipe_oracle import assert_cold_pass
 from tests.scheduler_oracle import event_loop
 
 
@@ -45,11 +46,11 @@ def test_e20_multistream_schedule(benchmark, show, monkeypatch):
 
     def checked_build(A, B):
         t0 = time.perf_counter()
-        recipe = real_build(A, B)
+        recipe, values = real_build(A, B)
         t1 = time.perf_counter()
-        assert_recipe_order(recipe, A, B)
+        assert_cold_pass(recipe, values, A, B)
         builds.append((t1 - t0, time.perf_counter() - t1))
-        return recipe
+        return recipe, values
 
     monkeypatch.setattr(scheduler, "_event_loop", checked)
     monkeypatch.setattr(product, "build_sort_recipe", checked_build)
@@ -70,9 +71,9 @@ def test_e20_multistream_schedule(benchmark, show, monkeypatch):
                 f"{sum(p[2] for p in phases):>10.3f}"
                 f"{sum(p[3] for p in phases):>10.3f}")
     build_s, lexsort_s = builds[0]
-    rows.append(f"{'recipe':<10}{result.report.n_products:>9}"
+    rows.append(f"{'cold pass':<10}{result.report.n_products:>9}"
                 f"{build_s:>10.3f}{lexsort_s:>10.3f}"
-                "   (products; build s, lexsort oracle s)")
+                "   (products; cold pass s, lexsort oracle s)")
     rows.append(f"multiply host seconds without the oracles: {host_s:.3f}")
     show("E20 multi-stream schedule, Economics at 206,500 rows "
          "(records equal the oracle's)", "\n".join(rows))

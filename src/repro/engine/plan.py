@@ -180,16 +180,16 @@ def replay_values(plan, A: CSRMatrix, B: CSRMatrix,
 
     The engine built ``plan.key`` from these very operands, so
     ``plan.key.digest`` *is* their :func:`pattern_digest`: the sort
-    recipe comes straight from the recipe store under it (rebuilt only
-    if the store evicted it, laid out for replay on the pattern's second
-    value computation) and the values are one gather + multiply + the
-    run sums -- no pattern rehash, no value hashing, no full-result
-    cache.  A caller replaying a plan outside the engine must keep the
+    recipe comes straight from the recipe store under it (indexed and
+    laid out for replay on the pattern's second value computation,
+    which a plan's first replay is; re-sorted only if the store evicted
+    it) and the values are one gather + multiply + the run sums -- no
+    pattern rehash, no value hashing, no full-result cache.  A caller replaying a plan outside the engine must keep the
     same precondition: on operands of another pattern the gather would
     follow the plan's recipe.  The output structure must equal the
     cached one, else :class:`~repro.errors.PlanMismatchError`; the check
     is free when the recipe is the one the cold run's structure came
-    from.  Structure arrays are read-only, so the check is safety code:
+    from (the index build keeps the cold entry's arrays).  Structure arrays are read-only, so the check is safety code:
     it fires only if the ownership contract was broken (a structure
     array written through an alias that predates the matrix, or its
     write flag switched back on).

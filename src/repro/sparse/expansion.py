@@ -105,57 +105,59 @@ class SortRecipe(NamedTuple):
 
     For a fixed pair of sparsity patterns, the lexsort permutation, the
     duplicate-run boundaries and the output-CSR structure never change --
-    only the multiplied values do.  A recipe captures all of it, so a
-    later multiply with fresh values on the same patterns reduces to a
-    gather, an elementwise multiply and the run sums
-    (:func:`values_from_recipe`), bit-identical to re-running
-    :func:`expand_products` + :func:`contract` from scratch.
+    only the multiplied values do.  A recipe captures them in one of two
+    states:
 
-    The products are stored in *replay order*.  A built recipe keeps the
-    sorted order: every run sits in the ``reduceat`` section and the
-    output needs no scatter.  :func:`lay_out_for_replay` moves the short
-    runs of well-populated lengths ahead of that section into
-    length-class blocks; the recipe store does so when a pattern's
-    values are computed a second time.
+    * *cold* -- the output structure and the row counts alone, as the
+      cold pass (:func:`build_sort_recipe`) leaves them beside the values
+      it sums; ``a_idx``, ``b_idx`` and ``starts`` are ``None``;
+    * *indexed* -- also the gather indices (:func:`index_sort_recipe`),
+      so a later multiply with fresh values on the same patterns reduces
+      to a gather, an elementwise multiply and the run sums
+      (:func:`values_from_recipe`), bit-identical to re-running
+      :func:`expand_products` + :func:`contract` from scratch.
+
+    An indexed recipe stores its products in *replay order*.  As indexed
+    it keeps the sorted order: every run sits in the ``reduceat``
+    section and the output needs no scatter.  :func:`lay_out_for_replay`
+    moves the short runs of well-populated lengths ahead of that section
+    into length-class blocks; the recipe store lays out every recipe it
+    indexes.
 
     Attributes
     ----------
-    a_idx / b_idx: per intermediate product, in replay order, the flat
-        index of the contributing A and B nonzero.
-    starts: ``reduceat`` boundaries of the runs in the ``reduceat``
-        section (positions in ``a_idx``).
     rpt / col: the output-CSR structure.
     row_counts: Alg. 2 per-row product counts.
     shape: output shape.
+    a_idx / b_idx: per intermediate product, in replay order, the flat
+        index of the contributing A and B nonzero; ``None`` when cold.
+    starts: ``reduceat`` boundaries of the runs in the ``reduceat``
+        section (positions in ``a_idx``); ``None`` when cold.
     blocks: the short blocks ahead of the ``reduceat`` section, as
-        ``(run length, runs)`` pairs in replay order; ``None`` until the
-        recipe is laid out.
+        ``(run length, runs)`` pairs in replay order.
     run_order: output position of each run in replay order; ``None``
         while replay order is output order.
-    valued: whether values have been computed along the recipe (the
-        recipe store's mark: the next computation lays it out).
     """
 
-    a_idx: np.ndarray
-    b_idx: np.ndarray
-    starts: np.ndarray
     rpt: np.ndarray
     col: np.ndarray
     row_counts: np.ndarray
     shape: tuple[int, int]
-    blocks: tuple[tuple[int, int], ...] | None = None
+    a_idx: np.ndarray | None = None
+    b_idx: np.ndarray | None = None
+    starts: np.ndarray | None = None
+    blocks: tuple[tuple[int, int], ...] = ()
     run_order: np.ndarray | None = None
-    valued: bool = False
 
     @property
     def n_products(self) -> int:
         """Total intermediate products."""
-        return int(self.a_idx.shape[0])
+        return int(self.row_counts.sum())
 
     def nbytes(self) -> int:
         """Host memory retained by the recipe (cache accounting)."""
-        arrays = (self.a_idx, self.b_idx, self.starts, self.rpt, self.col,
-                  self.row_counts, self.run_order)
+        arrays = (self.rpt, self.col, self.row_counts, self.a_idx,
+                  self.b_idx, self.starts, self.run_order)
         return sum(int(a.nbytes) for a in arrays if a is not None)
 
 
@@ -165,15 +167,18 @@ class SortRecipe(NamedTuple):
 BUILD_PANEL = 1 << 16
 
 
-def _column_keys(B, longest_row: int) -> tuple[np.ndarray, int]:
-    """Sort keys of B's columns and their count: the columns themselves,
-    or, when a one-row panel of ``longest_row`` products could not fit a
+def _column_keys(B, longest_row: int
+                 ) -> tuple[np.ndarray, int, np.ndarray | None]:
+    """Sort keys of B's columns, their count and the columns they stand
+    for: the columns themselves (``None``: a key is its column), or,
+    when a one-row panel of ``longest_row`` products could not fit a
     column above its product index in 63 bits, each column's rank among
     B's distinct columns (the same order, so the same recipe)."""
     if B.n_cols <= 1 << (63 - (longest_row - 1).bit_length()):
-        return B.col, B.n_cols
+        return B.col, B.n_cols, None
     distinct = np.unique(B.col)
-    return np.searchsorted(distinct, B.col), int(distinct.shape[0])
+    return (np.searchsorted(distinct, B.col), int(distinct.shape[0]),
+            distinct)
 
 
 def _row_panels(prod_rpt: np.ndarray, n_keys: int
@@ -200,14 +205,34 @@ def _row_panels(prod_rpt: np.ndarray, n_keys: int
         r0, p0 = r1, p1
 
 
-def build_sort_recipe(A, B) -> SortRecipe:
-    """Capture the sort/merge structure of ``A @ B`` (values untouched).
+class _ProductRows(NamedTuple):
+    """Where the products of ``A @ B`` sit and how a panel keys them."""
 
-    The per-product A index is position ``j`` repeated over run ``j``'s
-    length and the B index is the same ``b_flat`` the expansion gathers;
-    both are then permuted by the (row, col) sort that :func:`contract`
-    would apply, so gathering values through them and reducing at
-    ``starts`` reproduces the contraction exactly.
+    run_len: np.ndarray          #: products per A nonzero
+    row_counts: np.ndarray       #: Alg. 2 counts
+    prod_rpt: np.ndarray         #: per-row product pointer
+    col_key: np.ndarray          #: sort key of each B nonzero's column
+    n_keys: int                  #: distinct column keys
+    columns: np.ndarray | None   #: the column of each key; None: itself
+
+
+def _product_rows(A, B) -> _ProductRows:
+    """The row layout and column keys every recipe build starts from."""
+    check_multiplicable(A, B)
+    run_len = np.diff(B.rpt)[A.col]
+    row_counts = segment_sums(run_len, A.rpt)
+    prod_rpt = np.zeros(A.n_rows + 1, dtype=INDEX_DTYPE)
+    np.cumsum(row_counts, out=prod_rpt[1:])
+    keys = _column_keys(B, int(row_counts.max(initial=1)))
+    return _ProductRows(run_len, row_counts, prod_rpt, *keys)
+
+
+def _sorted_panels(A, B, rows: _ProductRows) -> Iterator[tuple]:
+    """Each row panel of ``A @ B`` sorted as ``contract`` sorts it, as
+    ``(r0, r1, j0, j1, b_flat, order, keys, first)``: its rows and A
+    nonzeros, each product's B nonzero in expansion order, the
+    expansion position of each sorted product, the sorted panel-local
+    keys and the panel position of each run's first product.
 
     Products are emitted row by row and the sort never crosses a row,
     so A's rows are cut into panels (:func:`_row_panels`).  Each
@@ -217,29 +242,10 @@ def build_sort_recipe(A, B) -> SortRecipe:
     products as ``lexsort((cols, rows))`` does, ties by index: the low
     bits are the permutation and the high bits the sorted keys whose
     changes open the runs.  A column's key is the column itself unless
-    B is too wide for that (:func:`_column_keys`).  Each panel writes its
-    ``a_idx``, ``b_idx`` and run boundaries straight into the output
-    arrays.
+    B is too wide for that (:func:`_column_keys`).
     """
-    check_multiplicable(A, B)
-    n_rows = A.n_rows
-    shape = (n_rows, B.n_cols)
-    run_len = np.diff(B.rpt)[A.col]
-    row_counts = segment_sums(run_len, A.rpt)
-    prod_rpt = np.zeros(n_rows + 1, dtype=INDEX_DTYPE)
-    np.cumsum(row_counts, out=prod_rpt[1:])
-    total = int(prod_rpt[-1])
-
-    empty_i = np.empty(0, dtype=INDEX_DTYPE)
-    if total == 0:
-        return SortRecipe(empty_i, empty_i.copy(), empty_i.copy(), prod_rpt,
-                          empty_i.copy(), row_counts, shape)
-
-    a_idx = np.empty(total, dtype=INDEX_DTYPE)
-    b_idx = np.empty(total, dtype=INDEX_DTYPE)
-    new_run = np.empty(total, dtype=bool)
+    run_len, row_counts, prod_rpt, col_key, n_keys, _ = rows
     b_start = B.rpt[A.col]
-    col_key, n_keys = _column_keys(B, int(row_counts.max()))
     for r0, r1, bits in _row_panels(prod_rpt, n_keys):
         p0, p1 = int(prod_rpt[r0]), int(prod_rpt[r1])
         j0, j1 = int(A.rpt[r0]), int(A.rpt[r1])
@@ -256,19 +262,86 @@ def build_sort_recipe(A, B) -> SortRecipe:
         words |= index
         words.sort()
         order = words & ((1 << bits) - 1)
+        words >>= bits
+        opens = np.empty(p1 - p0, dtype=bool)
+        opens[0] = True
+        np.not_equal(words[1:], words[:-1], out=opens[1:])
+        yield r0, r1, j0, j1, b_flat, order, words, np.flatnonzero(opens)
+
+
+def build_sort_recipe(A, B) -> tuple[SortRecipe, np.ndarray]:
+    """The cold pass: the output of ``A @ B`` from one sort per panel.
+
+    Returns the cold recipe (output ``rpt``/``col`` and the row counts)
+    and the float64 output values, bit for bit :func:`contract`'s over
+    :func:`expand_products`.  Each sorted panel (:func:`_sorted_panels`)
+    multiplies its products in expansion order, in the operand dtype as
+    the expansion does, permutes them into sorted order, casts them to
+    float64 and sums its runs with one ``reduceat``; a run never crosses
+    a row, so the panel's sums are the contraction's.  A run's column is
+    read off its sorted key, and a row's run count fixes ``rpt``.  No
+    per-product array outlives its panel: the gather indices a replay
+    needs are the index build's (:func:`index_sort_recipe`).
+    """
+    rows = _product_rows(A, B)
+    n_keys = rows.n_keys
+    run_len, prod_rpt = rows.run_len, rows.prod_rpt
+    row_runs = np.zeros(A.n_rows, dtype=INDEX_DTYPE)
+    # empty heads keep the dtypes of a product with no panels
+    keys, sums = [np.empty(0, dtype=INDEX_DTYPE)], [np.empty(0)]
+    for r0, r1, j0, j1, b_flat, order, words, first in _sorted_panels(
+            A, B, rows):
+        runs = np.diff(np.searchsorted(first, prod_rpt[r0:r1 + 1]
+                                       - prod_rpt[r0]))
+        row_runs[r0:r1] = runs
+        key = np.take(words, first)
+        if r1 - r0 > 1:
+            key -= np.repeat(np.arange(0, (r1 - r0) * n_keys, n_keys,
+                                       dtype=INDEX_DTYPE), runs)
+        keys.append(key)
+        products = np.repeat(A.val[j0:j1], run_len[j0:j1]) * np.take(
+            B.val, b_flat)
+        sums.append(np.add.reduceat(
+            np.take(products, order).astype(np.float64, copy=False), first))
+    col = np.concatenate(keys)
+    if rows.columns is not None:
+        col = rows.columns[col]
+    rpt = np.zeros(A.n_rows + 1, dtype=INDEX_DTYPE)
+    np.cumsum(row_runs, out=rpt[1:])
+    return (SortRecipe(rpt, col, rows.row_counts, (A.n_rows, B.n_cols)),
+            np.concatenate(sums))
+
+
+def index_sort_recipe(recipe: SortRecipe, A, B) -> SortRecipe:
+    """``recipe`` with the gather indices a replay reads, in sorted order.
+
+    The index build shares the cold pass's panel sort
+    (:func:`_sorted_panels`): a product's A index is position ``j``
+    repeated over run ``j``'s length and its B index the ``b_flat`` the
+    expansion gathers, both permuted by the panel's sort, so gathering
+    values through them and reducing at ``starts`` reproduces the
+    contraction exactly.  Each panel writes its ``a_idx`` and ``b_idx``
+    straight into the output arrays.  The output ``rpt``, ``col`` and
+    ``row_counts`` stay ``recipe``'s own arrays, so a plan holding the
+    cold entry's structure still holds the indexed recipe's.
+    """
+    rows = _product_rows(A, B)
+    total = int(rows.prod_rpt[-1])
+    a_idx = np.empty(total, dtype=INDEX_DTYPE)
+    b_idx = np.empty(total, dtype=INDEX_DTYPE)
+    starts = [np.empty(0, dtype=INDEX_DTYPE)]
+    for r0, r1, j0, j1, b_flat, order, _, first in _sorted_panels(A, B,
+                                                                  rows):
+        p0, p1 = int(rows.prod_rpt[r0]), int(rows.prod_rpt[r1])
         # order is a permutation, so "clip" never clips; the default
         # "raise" would gather into a buffer and copy it out
         np.take(b_flat, order, out=b_idx[p0:p1], mode="clip")
-        np.take(np.repeat(np.arange(j0, j1, dtype=INDEX_DTYPE), lens),
+        np.take(np.repeat(np.arange(j0, j1, dtype=INDEX_DTYPE),
+                          rows.run_len[j0:j1]),
                 order, out=a_idx[p0:p1], mode="clip")
-        words >>= bits
-        new_run[p0] = True
-        np.not_equal(words[1:], words[:-1], out=new_run[p0 + 1:p1])
-    starts = np.flatnonzero(new_run)
-    out_col = B.col[b_idx[starts]]
-    # every output row opens a run where its products begin
-    rpt = np.searchsorted(starts, prod_rpt).astype(INDEX_DTYPE, copy=False)
-    return SortRecipe(a_idx, b_idx, starts, rpt, out_col, row_counts, shape)
+        starts.append(first + p0)
+    return recipe._replace(a_idx=a_idx, b_idx=b_idx,
+                           starts=np.concatenate(starts))
 
 
 #: Products per replay chunk.  A replay's per-product temporaries never
@@ -308,17 +381,17 @@ def lay_out_for_replay(recipe: SortRecipe) -> SortRecipe:
     permutation of ``a_idx`` and ``b_idx`` applies it all; the output
     structure stays the same arrays.  The scatter back to output order
     moves every run, so unless blocked runs are more than half of them
-    the recipe keeps its arrays and replays as built.
+    the recipe keeps its arrays and replays in sorted order.
     """
     starts = recipe.starts
-    n_products = recipe.n_products
+    n_products = recipe.a_idx.shape[0]
     lengths = np.diff(starts, append=n_products)
     length_class = np.minimum(lengths, SHORT_RUN + 1).astype(np.uint8)
     per_class = np.bincount(length_class, minlength=SHORT_RUN + 2)
     blocked = per_class >= MIN_CLASS_RUNS
     blocked[[0, SHORT_RUN + 1]] = False
     if 2 * per_class[blocked].sum() <= lengths.shape[0]:
-        return recipe._replace(blocks=())
+        return recipe
     # unblocked short runs join the longer ones in the reduceat section
     per_class[~blocked] = 0
     length_class = np.where(blocked, np.arange(SHORT_RUN + 2),
@@ -355,7 +428,7 @@ def _products(recipe: SortRecipe, A, B, p0: int, p1: int) -> np.ndarray:
 
 
 def values_from_recipe(recipe: SortRecipe, A, B) -> np.ndarray:
-    """Output values (float64) of ``A @ B`` along a captured recipe.
+    """Output values (float64) of ``A @ B`` along an indexed recipe.
 
     Bit-identical to the :func:`expand_products` + :func:`contract` pair:
     the same value pairs are multiplied in the same operand dtype, cast
@@ -372,7 +445,7 @@ def values_from_recipe(recipe: SortRecipe, A, B) -> np.ndarray:
     """
     out = np.empty(recipe.col.shape[0], dtype=np.float64)
     r = p = 0
-    for length, runs in recipe.blocks or ():
+    for length, runs in recipe.blocks:
         q = p + length * runs
         v = _products(recipe, A, B, p, q).reshape(length, runs)
         sums = out[r:r + runs]
@@ -399,7 +472,7 @@ def values_from_recipe(recipe: SortRecipe, A, B) -> np.ndarray:
     k0, p0 = 0, p
     while k0 < n_rest:
         k1 = int(np.searchsorted(starts, p0 + REPLAY_CHUNK))
-        p1 = int(starts[k1]) if k1 < n_rest else recipe.n_products
+        p1 = int(starts[k1]) if k1 < n_rest else recipe.a_idx.shape[0]
         np.add.reduceat(_products(recipe, A, B, p0, p1), starts[k0:k1] - p0,
                         out=out[r + k0:r + k1])
         k0, p0 = k1, p1

@@ -12,18 +12,23 @@ sit in front of it:
 * the *recipe store*: one :class:`~repro.sparse.expansion.SortRecipe` per
   pair of sparsity patterns, keyed by :func:`pattern_digest`.  A recipe
   is everything value-independent about a product -- the sort
-  permutation, the duplicate-run boundaries and the output structure --
-  so a seen pattern costs a gather + multiply + the run sums instead of
-  the dominant stable sort, bit-identical by construction (the recipe
-  tests hold it to the expansion + contraction behind
+  permutation, the duplicate-run boundaries and the output structure.
+  :func:`recipe_values` is its one value path.  A pattern's first value
+  computation is the cold pass
+  (:func:`~repro.sparse.expansion.build_sort_recipe`): one sort per row
+  panel, with the panel's products summed inside it, leaving a *cold*
+  entry that holds the output structure alone.  Its second gathers the
+  replay indices (:func:`~repro.sparse.expansion.index_sort_recipe`) and
+  lays the recipe out for replay
+  (:func:`~repro.sparse.expansion.lay_out_for_replay`), so that entry
+  is *indexed* and later values cost a gather + multiply + the run
+  sums, summing short duplicate runs by length class.  Both paths are
+  bit-identical by construction (the recipe tests hold them to the
+  expansion + contraction behind
   :func:`~repro.sparse.reference.spgemm_reference`).  Fresh-value
   iterates, plan-cache replays (:func:`repro.engine.plan.replay_values`,
   which pass the digest their plan key already carries) and the tuner's
-  sketch all read it.  :func:`recipe_values` is its one value path: the
-  second value computation on a pattern swaps in the recipe laid out
-  for replay (:func:`~repro.sparse.expansion.lay_out_for_replay`), so
-  later replays sum short duplicate runs by length class, and a cold
-  multiply never pays the layout.
+  sketch (:func:`recipe_for`) all read it.
 
 Operand hashing lives here and nowhere else.  :func:`pattern_digest` is
 the only code that hashes structure bytes and :func:`_val_tag` the only
@@ -58,7 +63,8 @@ import numpy as np
 from repro import perf
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.expansion import (SortRecipe, build_sort_recipe,
-                                    lay_out_for_replay, values_from_recipe)
+                                    index_sort_recipe, lay_out_for_replay,
+                                    values_from_recipe)
 from repro.types import Precision
 
 #: Maximum retained operand pairs (strong references).  Sized to hold the
@@ -68,12 +74,14 @@ _CACHE_CAPACITY = 16
 
 _cache = perf.LRUCache(_CACHE_CAPACITY)
 
-#: Host-byte budget of the recipe store.  Measured working sets: a
-#: 2-device serving pool cycles 18 solver-panel recipes (2.56 MiB in
-#: all) past never-reused graph panels of ~100-120 KiB; the E16 iterate's
-#: recipe is 8.01 MiB and one MCL run adds 7 more (2.78 MiB), so under
-#: ~10.8 MiB that loop rebuilds recipes every round.  16 MiB cost the
-#: serving benchmark 3% peak RSS, 64 MiB 23%.
+#: Host-byte budget of the recipe store.  Measured working sets (cold
+#: entry -> indexed): a 2-device serving pool cycles 18 solver-panel
+#: recipes (0.53 -> 2.69 MiB in all) past never-reused graph panels,
+#: which stay cold at 5-40 KiB; the E16 iterate's recipe is 1.02 ->
+#: 8.02 MiB and one MCL run adds 7 more (0.45 -> 2.81 MiB), so under
+#: ~10.8 MiB that loop re-sorts every round.  Protein's cold entry
+#: (2.54 MiB) fits, its indexed one (93.6 MiB) does not.  16 MiB cost
+#: the serving benchmark 3% peak RSS, 64 MiB 23%.
 RECIPE_BUDGET_BYTES = 16 << 20
 
 _recipes = perf.LRUCache(RECIPE_BUDGET_BYTES, size=SortRecipe.nbytes)
@@ -198,15 +206,18 @@ def recipe_for(A: CSRMatrix, B: CSRMatrix,
     impossible: a different pattern is a different array, hence a
     different digest.  The returned arrays are shared by every product
     computed from the same pattern; the output matrix built on them
-    freezes them like any other structure.  This read leaves the stored
-    recipe as it is; only :func:`recipe_values` replaces it.
+    freezes them like any other structure.  A hit, cold or indexed,
+    computes nothing.  A miss is filled by the cold pass through
+    :func:`compute_product`, whose values go to the full-result cache:
+    the tuner's sketch reads the store before a tuned multiply computes
+    any values, and that multiply then hits the cache instead of
+    sorting again.
     """
     if digest is None:
         digest = pattern_fingerprint(A, B)
     recipe = _recipes.get(digest)
     if recipe is None:
-        recipe = build_sort_recipe(A, B)
-        _recipes.put(digest, recipe)
+        recipe = _product(A, B, _key(A, B), digest)[0]
     return recipe
 
 
@@ -215,35 +226,37 @@ def recipe_values(A: CSRMatrix, B: CSRMatrix, digest: str | None = None
     """The recipe for the operand patterns and the float64 output values
     along it: the one value path of the recipe store.
 
-    The first value computation on a stored recipe replays it as built
-    and marks it valued; the second lays it out for replay
-    (:func:`~repro.sparse.expansion.lay_out_for_replay`) and swaps the
-    laid-out recipe in.  The layout is paid once per pattern whose values
-    are computed more than once, never by a cold multiply (tuned or not:
-    the tuner's sketch reads the recipe through :func:`recipe_for`).
-    The swapped-in recipe shares the output ``rpt``/``col`` arrays, and
-    recipes are never changed in place, so a caller still replaying the
-    one it fetched stays consistent.
+    A miss runs the cold pass (:func:`~repro.sparse.expansion.
+    build_sort_recipe`), which sums the values inside its sort and
+    leaves a cold entry, the output structure alone.  The pattern's
+    second value computation gathers the replay indices
+    (:func:`~repro.sparse.expansion.index_sort_recipe`), lays the recipe
+    out for replay (:func:`~repro.sparse.expansion.lay_out_for_replay`),
+    swaps it in and replays it; later ones replay it as stored.  So a
+    pattern seen once, such as every ``paper-cold`` matrix or a served
+    graph panel, keeps no per-product array.  The indexed recipe shares
+    the cold entry's ``rpt``/``col`` arrays, and recipes are never
+    changed in place, so a caller still replaying the one it fetched
+    stays consistent.
     """
     if digest is None:
         digest = pattern_fingerprint(A, B)
-    recipe = recipe_for(A, B, digest)
-    if not recipe.valued:
-        recipe = recipe._replace(valued=True)
+    recipe = _recipes.get(digest)
+    if recipe is None:
+        recipe, val = build_sort_recipe(A, B)
         _recipes.put(digest, recipe)
-    elif recipe.blocks is None:
-        recipe = lay_out_for_replay(recipe)
+        return recipe, val
+    if recipe.a_idx is None:
+        recipe = lay_out_for_replay(index_sort_recipe(recipe, A, B))
         _recipes.put(digest, recipe)
     return recipe, values_from_recipe(recipe, A, B)
 
 
-def compute_product(A: CSRMatrix, B: CSRMatrix) -> ProductResult:
-    """The memoized expansion + contraction of ``A @ B``."""
-    key = _key(A, B)
-    hit = _cache.get(key)
-    if hit is not None and hit.anchors[0] is A.rpt:
-        return hit
-    recipe, val = recipe_values(A, B)
+def _product(A: CSRMatrix, B: CSRMatrix, key: tuple,
+             digest: str | None = None) -> tuple[SortRecipe, ProductResult]:
+    """Compute ``A @ B`` along the recipe store and cache it under
+    ``key``; returns the recipe beside the result."""
+    recipe, val = recipe_values(A, B, digest)
     C = CSRMatrix(recipe.rpt, recipe.col, val, recipe.shape, check=False)
     row_products = recipe.row_counts.astype(np.int64)
     result = ProductResult(anchors=(A.rpt, A.col, B.rpt, B.col),
@@ -252,7 +265,16 @@ def compute_product(A: CSRMatrix, B: CSRMatrix) -> ProductResult:
                            nnz_a=A.row_nnz().astype(np.int64),
                            n_products=int(row_products.sum()), C=C)
     _cache.put(key, result)
-    return result
+    return recipe, result
+
+
+def compute_product(A: CSRMatrix, B: CSRMatrix) -> ProductResult:
+    """The memoized expansion + contraction of ``A @ B``."""
+    key = _key(A, B)
+    hit = _cache.get(key)
+    if hit is not None and hit.anchors[0] is A.rpt:
+        return hit
+    return _product(A, B, key)[1]
 
 
 def product_for(A: CSRMatrix, B: CSRMatrix,

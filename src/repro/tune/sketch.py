@@ -86,8 +86,10 @@ def sketch_matrix(A: CSRMatrix, B: CSRMatrix) -> MatrixSketch:
 
     Reads the per-row product counts and the output structure off the
     pattern's sort recipe (:func:`repro.sparse.product.recipe_for`), the
-    one the multiply itself uses, so sketching costs one histogram: no
-    values are computed or hashed here.
+    one the multiply itself uses, so sketching a seen pattern costs one
+    histogram: no values are computed or hashed.  On an unseen pattern
+    the read runs the cold pass into the full-result cache, which the
+    tuned multiply then hits.
     """
     recipe = recipe_for(A, B)
     row_products = recipe.row_counts.astype(np.int64)

@@ -296,10 +296,11 @@ class TestConcurrency:
         """Eight threads, each holding its own engine, replay fresh values
         on the same three patterns for a second, and call the recipe
         store's value path between replays, while a recipe budget below
-        two recipes keeps evicting, rebuilding, marking and laying out
-        the same keys.  Every value keeps the bytes of a one-thread run,
-        and the store's total stays the size of what it retains; without
-        the store's lock, lost size updates or a ``KeyError`` fail it."""
+        two indexed recipes keeps evicting, re-running the cold pass,
+        indexing and laying out the same keys.  Every value keeps the
+        bytes of a one-thread run, and the store's total stays the size
+        of what it retains, within its budget; without the store's lock,
+        lost size updates or a ``KeyError`` fail it."""
         import sys
         import threading
         import time
@@ -318,6 +319,8 @@ class TestConcurrency:
         eng = SpGEMMEngine("proposal")
         want = [eng.multiply(M, M).matrix.val.tobytes() for M in iterates]
         perf.clear_fast_caches()
+        for P in patterns + patterns:   # the second computation indexes
+            product.recipe_values(P, P)
         sizes = [product.recipe_for(P, P).nbytes() for P in patterns]
         perf.clear_fast_caches()
         monkeypatch.setattr(product._recipes, "budget",
@@ -356,7 +359,8 @@ class TestConcurrency:
         assert errors == []
         retained = [entry[0] for entry in product._recipes._entries.values()]
         assert product._recipes.total == sum(r.nbytes() for r in retained)
-        assert len(retained) == 1
+        assert (product._recipes.total <= product._recipes.budget
+                or len(retained) == 1)
 
 
 class TestIntegration:

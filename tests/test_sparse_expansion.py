@@ -13,13 +13,13 @@ from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.expansion import (REPLAY_CHUNK, SHORT_RUN,
                                     build_sort_recipe, contract,
-                                    expand_products,
+                                    expand_products, index_sort_recipe,
                                     intermediate_product_counts,
                                     lay_out_for_replay, symbolic_row_nnz,
                                     values_from_recipe)
 
 from tests.conftest import to_scipy
-from tests.recipe_oracle import assert_recipe_order
+from tests.recipe_oracle import assert_cold_pass, assert_recipe_order
 
 
 def brute_force_counts(A, B):
@@ -176,8 +176,9 @@ def _scrambled(rng, shape, max_row, *, repeats):
 def scrambled_pairs(draw, max_dim=10, max_row=8):
     """``(A, B, panel)``: rows in any column order, repeats included, B's
     columns spread over up to ``2^59`` times its drawn width (past the
-    width whose columns fit a word beside the product index), and a
-    :data:`~repro.sparse.expansion.BUILD_PANEL` to build with."""
+    width whose columns fit a word beside the product index), a
+    :data:`~repro.sparse.expansion.BUILD_PANEL` to build with, and
+    either precision."""
     n, k, m = (draw(st.integers(1, max_dim)) for _ in range(3))
     spread = draw(st.sampled_from([1, 2**30, 2**59]))
 
@@ -192,192 +193,9 @@ def scrambled_pairs(draw, max_dim=10, max_row=8):
         return CSRMatrix(rpt, col, val, (n_rows, n_cols * scale))
 
     panel = draw(st.sampled_from([1, 5, 64, expansion.BUILD_PANEL]))
-    return operand(n, k, 1), operand(k, m, spread), panel
-
-
-def _product_rpt(recipe):
-    """The per-row product pointer a recipe build cuts its panels on."""
-    return np.concatenate(([0], np.cumsum(recipe.row_counts)))
-
-
-class TestSortRecipe:
-    """A recipe replays ``contract(expand_products(...))`` bit for bit."""
-
-    @staticmethod
-    def _assert_replays_contraction(A, B):
-        recipe = build_sort_recipe(A, B)
-        exp = expand_products(A, B)
-        C = contract(exp.rows, exp.cols, exp.vals, (A.n_rows, B.n_cols),
-                     A.dtype)
-        assert recipe.shape == C.shape
-        assert recipe.rpt.dtype == recipe.col.dtype == np.int64
-        assert recipe.a_idx.dtype == recipe.b_idx.dtype == np.int64
-        assert_recipe_order(recipe, A, B)
-        assert recipe.rpt.tobytes() == C.rpt.tobytes()
-        assert recipe.col.tobytes() == C.col.tobytes()
-        vals = values_from_recipe(recipe, A, B).astype(A.dtype)
-        assert vals.tobytes() == C.val.tobytes()
-        np.testing.assert_array_equal(recipe.row_counts, exp.row_counts)
-
-    @pytest.mark.parametrize("precision", ["single", "double"])
-    def test_square(self, small_random, precision):
-        A = small_random.astype(precision)
-        self._assert_replays_contraction(A, A)
-
-    def test_rectangular(self, rng):
-        A = generators.random_csr(37, 53, 6, rng=rng)
-        B = generators.random_csr(53, 19, 4, rng=rng)
-        self._assert_replays_contraction(A, B)
-
-    def test_empty_rows_and_explicit_zeros(self, rng):
-        A = _with_empty_rows_and_zeros(rng, (40, 70), 7)
-        B = _with_empty_rows_and_zeros(rng, (70, 30), 5)
-        assert np.any(A.val == 0.0) and np.any(A.row_nnz() == 0)
-        self._assert_replays_contraction(A, B)
-
-    def test_no_products(self, rng):
-        A = generators.random_csr(6, 8, 3, rng=rng)
-        self._assert_replays_contraction(A, CSRMatrix.empty((8, 5)))
-
-    @pytest.mark.parametrize("precision", ["single", "double"])
-    @pytest.mark.parametrize("chunk", [1, 4, 50])
-    def test_chunked_replay(self, rng, chunk, precision, monkeypatch):
-        # B has 3 columns, so duplicate runs (~8 products) outgrow the
-        # small chunks and chunks of 50 hold several runs
-        A = generators.random_csr(30, 40, 12, rng=rng).astype(precision)
-        B = generators.random_csr(40, 3, 2, rng=rng).astype(precision)
-        monkeypatch.setattr(expansion, "REPLAY_CHUNK", chunk)
-        assert build_sort_recipe(A, B).n_products > chunk
-        self._assert_replays_contraction(A, B)
-
-    @pytest.mark.parametrize("n", [46340, 46341])
-    def test_squares_across_the_int32_boundary(self, n):
-        # 46340^2 < 2^31 <= 46341^2: the corner products reach the
-        # largest key n*n - 1 of a one-panel build, past an int32 on
-        # the wide side
-        A = _sparse_square(n, [(0, n - 1), (1, 1), (n - 2, 0),
-                               (n - 1, 0), (n - 1, n - 1)])
-        self._assert_replays_contraction(A, A)
-
-    @pytest.mark.parametrize("n_products, n_cols, ranked", [
-        (2, 2**62, False),        # 62 key bits + 1 index bit = 63
-        (2, 2**62 + 1, True),     # 63 + 1 = 64
-        (3, 2**61, False),        # 61 + 2 = 63
-        (3, 2**61 + 1, True),     # 62 + 2 = 64
-    ])
-    def test_one_row_panel_word_width(self, n_products, n_cols, ranked):
-        # one A row over B rows of one product each, alternating between
-        # B's last and first columns: past 63 bits B's columns are keyed
-        # by rank, or the last column's words would wrap negative
-        A = CSRMatrix(np.array([0, n_products]), np.arange(n_products),
-                      np.arange(1.0, n_products + 1), (1, n_products))
-        B = CSRMatrix(np.arange(n_products + 1),
-                      np.resize([n_cols - 1, 0], n_products),
-                      np.linspace(1.5, 2.5, n_products), (n_products, n_cols))
-        col_key, n_keys = expansion._column_keys(B, n_products)
-        if ranked:
-            assert n_keys == 2
-            np.testing.assert_array_equal(col_key,
-                                          np.resize([1, 0], n_products))
-        else:
-            assert col_key is B.col and n_keys == n_cols
-        recipe = build_sort_recipe(A, B)
-        assert list(expansion._row_panels(_product_rpt(recipe), n_keys)) == [
-            (0, 1, (n_products - 1).bit_length())]
-        self._assert_replays_contraction(A, B)
-
-    @pytest.mark.parametrize("n_cols, panels", [
-        (2**60, [(0, 2, 2)]),                  # 61 key bits + 2 = 63
-        (2**60 + 1, [(0, 1, 1), (1, 2, 1)]),   # 62 + 2 = 64: split
-        # split to one row, a panel takes its own index width: 62 + 1
-        (2**62, [(0, 1, 1), (1, 2, 1)]),
-    ])
-    def test_multi_row_panel_word_width(self, n_cols, panels):
-        # two A rows of two products each, B's last column before its
-        # first: a panel of both rows keys row 1's last column at
-        # 2 * n_cols - 1, which must fit above 2 index bits
-        A = CSRMatrix(np.array([0, 2, 4]), np.array([0, 1, 1, 0]),
-                      np.arange(1.0, 5.0), (2, 2))
-        B = CSRMatrix(np.array([0, 1, 2]), np.array([n_cols - 1, 0]),
-                      np.array([1.5, 2.5]), (2, n_cols))
-        col_key, n_keys = expansion._column_keys(B, 2)
-        assert col_key is B.col
-        recipe = build_sort_recipe(A, B)
-        assert list(expansion._row_panels(_product_rpt(recipe),
-                                          n_keys)) == panels
-        self._assert_replays_contraction(A, B)
-
-    @pytest.mark.parametrize("n_cols", [7, 2**62 + 5])
-    def test_no_argsort(self, rng, n_cols):
-        # the words are distinct, so any sort gives the stable order: the
-        # build needs no argsort, at any width
-        A = _scrambled(rng, (30, 12), 9, repeats=True)
-        B = _scrambled(rng, (12, 7), 5, repeats=False)
-        B = CSRMatrix(B.rpt, B.col * (n_cols // 7), B.val, (12, n_cols))
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("argsort or lexsort called")
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(np, "argsort", refuse)
-            mp.setattr(np, "lexsort", refuse)
-            recipe = build_sort_recipe(A, B)
-        assert_recipe_order(recipe, A, B)
-
-    @pytest.mark.parametrize("panel", [1, expansion.BUILD_PANEL])
-    @pytest.mark.parametrize("n_cols", [2**31 // 3, 2**31 // 3 + 1, 2**31,
-                                        2**31 + 1, 2**62 - 1, 2**62 + 5])
-    def test_wide_b(self, n_cols, panel, monkeypatch):
-        # A (3 x 2) @ B (2 x n_cols), products in B's first and last
-        # columns: 3 * (2^31 // 3) cells still fit an int32 key, 2^31
-        # columns do on a one-row panel, and 2^62 + 5 columns overflow
-        # an int64 key unless each row is a panel
-        monkeypatch.setattr(expansion, "BUILD_PANEL", panel)
-        A = CSRMatrix(np.array([0, 2, 3, 5]), np.array([0, 1, 1, 0, 1]),
-                      np.arange(1.0, 6.0), (3, 2))
-        B = CSRMatrix(np.array([0, 2, 3]), np.array([0, n_cols - 1,
-                                                     n_cols - 1]),
-                      np.array([1.5, 2.5, 3.5]), (2, n_cols))
-        self._assert_replays_contraction(A, B)
-
-    @pytest.mark.parametrize("panel", [1, 5, 64])
-    def test_row_panels_build_the_one_panel_recipe(self, rng, panel,
-                                                   monkeypatch):
-        # rows longer than a panel, empty rows at the cuts (panels of no
-        # products) and a rectangular A @ B with B not A: the default
-        # panel holds all ~1,300 products, and every cut gives its bytes
-        A = _with_empty_rows_and_zeros(rng, (60, 70), 7)
-        B = _with_empty_rows_and_zeros(rng, (70, 30), 5)
-        whole = build_sort_recipe(A, B)
-        assert whole.n_products <= expansion.BUILD_PANEL
-        monkeypatch.setattr(expansion, "BUILD_PANEL", panel)
-        cut = build_sort_recipe(A, B)
-        for field in ("a_idx", "b_idx", "starts", "rpt", "col",
-                      "row_counts"):
-            want, got = getattr(whole, field), getattr(cut, field)
-            assert got.dtype == want.dtype, field
-            assert got.tobytes() == want.tobytes(), field
-        self._assert_replays_contraction(A, B)
-
-    @pytest.mark.parametrize("panel", [1, 5, 64, expansion.BUILD_PANEL])
-    def test_ties_broken_by_product_index(self, rng, panel, monkeypatch):
-        # A's rows repeat columns and list them out of order, B's rows are
-        # out of order: equal (row, col) pairs then come from different A
-        # nonzeros, and only their expansion order ranks them
-        monkeypatch.setattr(expansion, "BUILD_PANEL", panel)
-        A = _scrambled(rng, (60, 15), 9, repeats=True)
-        B = _scrambled(rng, (15, 40), 8, repeats=False)
-        assert not A.is_canonical() and not B.is_canonical()
-        self._assert_replays_contraction(A, B)
-
-    @settings(max_examples=80, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(scrambled_pairs())
-    def test_any_scrambled_operands(self, drawn):
-        A, B, panel = drawn
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(expansion, "BUILD_PANEL", panel)
-            self._assert_replays_contraction(A, B)
+    precision = draw(st.sampled_from(["single", "double"]))
+    return (operand(n, k, 1).astype(precision),
+            operand(k, m, spread).astype(precision), panel)
 
 
 def assert_same_bytes(got, want, run_lengths, what):
@@ -468,15 +286,242 @@ def operand_pairs(draw, max_dim=12, max_nnz=60):
     return operand(n, k), operand(k, m)
 
 
+def _product_rpt(recipe):
+    """The per-row product pointer a recipe build cuts its panels on."""
+    return np.concatenate(([0], np.cumsum(recipe.row_counts)))
+
+
+def _indexed(A, B):
+    """The cold pass's recipe and values, and the recipe indexed."""
+    cold, values = build_sort_recipe(A, B)
+    return cold, values, index_sort_recipe(cold, A, B)
+
+
+class TestSortRecipe:
+    """The cold pass returns ``contract(expand_products(...))`` bit for
+    bit, and its indexed recipe replays it."""
+
+    @staticmethod
+    def _assert_replays_contraction(A, B):
+        with np.errstate(invalid="ignore", over="ignore"):   # inf - inf
+            cold, values, recipe = _indexed(A, B)
+            exp = expand_products(A, B)
+            C = contract(exp.rows, exp.cols, exp.vals, (A.n_rows, B.n_cols),
+                         A.dtype)
+            replayed = values_from_recipe(recipe, A, B)
+        assert cold.shape == recipe.shape == C.shape
+        assert cold.rpt.dtype == cold.col.dtype == np.int64
+        assert cold.a_idx is cold.b_idx is cold.starts is None
+        assert_cold_pass(cold, values, A, B)
+        assert cold.rpt.tobytes() == C.rpt.tobytes()
+        assert cold.col.tobytes() == C.col.tobytes()
+        assert values.astype(A.dtype).tobytes() == C.val.tobytes()
+        np.testing.assert_array_equal(cold.row_counts, exp.row_counts)
+        # the index build keeps the cold entry's structure arrays
+        assert recipe.rpt is cold.rpt and recipe.col is cold.col
+        assert recipe.row_counts is cold.row_counts
+        assert recipe.a_idx.dtype == recipe.b_idx.dtype == np.int64
+        assert_recipe_order(recipe, A, B)
+        assert replayed.tobytes() == values.tobytes()
+        return cold, recipe
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_square(self, small_random, precision):
+        A = small_random.astype(precision)
+        self._assert_replays_contraction(A, A)
+
+    def test_rectangular(self, rng):
+        A = generators.random_csr(37, 53, 6, rng=rng)
+        B = generators.random_csr(53, 19, 4, rng=rng)
+        self._assert_replays_contraction(A, B)
+
+    def test_empty_rows_and_explicit_zeros(self, rng):
+        A = _with_empty_rows_and_zeros(rng, (40, 70), 7)
+        B = _with_empty_rows_and_zeros(rng, (70, 30), 5)
+        assert np.any(A.val == 0.0) and np.any(A.row_nnz() == 0)
+        self._assert_replays_contraction(A, B)
+
+    def test_no_products(self, rng):
+        A = generators.random_csr(6, 8, 3, rng=rng)
+        self._assert_replays_contraction(A, CSRMatrix.empty((8, 5)))
+
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((0, 5), (5, 3)), ((0, 0), (0, 0)), ((4, 0), (0, 3))])
+    def test_no_rows_or_no_inner_dimension(self, a_shape, b_shape):
+        self._assert_replays_contraction(CSRMatrix.empty(a_shape),
+                                         CSRMatrix.empty(b_shape))
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    @pytest.mark.parametrize("panel", [1, 5, 64, expansion.BUILD_PANEL])
+    def test_nan_inf_and_exact_cancellation(self, precision, panel,
+                                            monkeypatch):
+        # duplicate runs of 1 to 40 products holding NaNs of two payloads,
+        # infinities of both signs, signed zeros and exact cancellation:
+        # the cold pass sums each run in the oracle's order, payloads too
+        monkeypatch.setattr(expansion, "BUILD_PANEL", panel)
+        A, B = run_length_operands(range(1, 41), precision)
+        self._assert_replays_contraction(A, B)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(operand_pairs())
+    def test_any_operands(self, pair):
+        self._assert_replays_contraction(*pair)
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    @pytest.mark.parametrize("chunk", [1, 4, 50])
+    def test_chunked_replay(self, rng, chunk, precision, monkeypatch):
+        # B has 3 columns, so duplicate runs (~8 products) outgrow the
+        # small chunks and chunks of 50 hold several runs
+        A = generators.random_csr(30, 40, 12, rng=rng).astype(precision)
+        B = generators.random_csr(40, 3, 2, rng=rng).astype(precision)
+        monkeypatch.setattr(expansion, "REPLAY_CHUNK", chunk)
+        assert build_sort_recipe(A, B)[0].n_products > chunk
+        self._assert_replays_contraction(A, B)
+
+    @pytest.mark.parametrize("n", [46340, 46341])
+    def test_squares_across_the_int32_boundary(self, n):
+        # 46340^2 < 2^31 <= 46341^2: the corner products reach the
+        # largest key n*n - 1 of a one-panel build, past an int32 on
+        # the wide side
+        A = _sparse_square(n, [(0, n - 1), (1, 1), (n - 2, 0),
+                               (n - 1, 0), (n - 1, n - 1)])
+        self._assert_replays_contraction(A, A)
+
+    @pytest.mark.parametrize("n_products, n_cols, ranked", [
+        (2, 2**62, False),        # 62 key bits + 1 index bit = 63
+        (2, 2**62 + 1, True),     # 63 + 1 = 64
+        (3, 2**61, False),        # 61 + 2 = 63
+        (3, 2**61 + 1, True),     # 62 + 2 = 64
+    ])
+    def test_one_row_panel_word_width(self, n_products, n_cols, ranked):
+        # one A row over B rows of one product each, alternating between
+        # B's last and first columns: past 63 bits B's columns are keyed
+        # by rank, or the last column's words would wrap negative
+        A = CSRMatrix(np.array([0, n_products]), np.arange(n_products),
+                      np.arange(1.0, n_products + 1), (1, n_products))
+        B = CSRMatrix(np.arange(n_products + 1),
+                      np.resize([n_cols - 1, 0], n_products),
+                      np.linspace(1.5, 2.5, n_products), (n_products, n_cols))
+        col_key, n_keys, columns = expansion._column_keys(B, n_products)
+        if ranked:
+            assert n_keys == 2
+            np.testing.assert_array_equal(col_key,
+                                          np.resize([1, 0], n_products))
+            np.testing.assert_array_equal(columns, [0, n_cols - 1])
+        else:
+            assert col_key is B.col and n_keys == n_cols
+            assert columns is None
+        recipe, _ = self._assert_replays_contraction(A, B)
+        assert list(expansion._row_panels(_product_rpt(recipe), n_keys)) == [
+            (0, 1, (n_products - 1).bit_length())]
+
+    @pytest.mark.parametrize("n_cols, panels", [
+        (2**60, [(0, 2, 2)]),                  # 61 key bits + 2 = 63
+        (2**60 + 1, [(0, 1, 1), (1, 2, 1)]),   # 62 + 2 = 64: split
+        # split to one row, a panel takes its own index width: 62 + 1
+        (2**62, [(0, 1, 1), (1, 2, 1)]),
+    ])
+    def test_multi_row_panel_word_width(self, n_cols, panels):
+        # two A rows of two products each, B's last column before its
+        # first: a panel of both rows keys row 1's last column at
+        # 2 * n_cols - 1, which must fit above 2 index bits
+        A = CSRMatrix(np.array([0, 2, 4]), np.array([0, 1, 1, 0]),
+                      np.arange(1.0, 5.0), (2, 2))
+        B = CSRMatrix(np.array([0, 1, 2]), np.array([n_cols - 1, 0]),
+                      np.array([1.5, 2.5]), (2, n_cols))
+        col_key, n_keys, columns = expansion._column_keys(B, 2)
+        assert col_key is B.col and columns is None
+        recipe, _ = self._assert_replays_contraction(A, B)
+        assert list(expansion._row_panels(_product_rpt(recipe),
+                                          n_keys)) == panels
+
+    @pytest.mark.parametrize("n_cols", [7, 2**62 + 5])
+    def test_no_argsort(self, rng, n_cols):
+        # the words are distinct, so any sort gives the stable order: the
+        # build needs no argsort, at any width
+        A = _scrambled(rng, (30, 12), 9, repeats=True)
+        B = _scrambled(rng, (12, 7), 5, repeats=False)
+        B = CSRMatrix(B.rpt, B.col * (n_cols // 7), B.val, (12, n_cols))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("argsort or lexsort called")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "argsort", refuse)
+            mp.setattr(np, "lexsort", refuse)
+            cold, values, recipe = _indexed(A, B)
+        assert_cold_pass(cold, values, A, B)
+        assert_recipe_order(recipe, A, B)
+
+    @pytest.mark.parametrize("panel", [1, expansion.BUILD_PANEL])
+    @pytest.mark.parametrize("n_cols", [2**31 // 3, 2**31 // 3 + 1, 2**31,
+                                        2**31 + 1, 2**62 - 1, 2**62 + 5])
+    def test_wide_b(self, n_cols, panel, monkeypatch):
+        # A (3 x 2) @ B (2 x n_cols), products in B's first and last
+        # columns: 3 * (2^31 // 3) cells still fit an int32 key, 2^31
+        # columns do on a one-row panel, and 2^62 + 5 columns overflow
+        # an int64 key unless each row is a panel
+        monkeypatch.setattr(expansion, "BUILD_PANEL", panel)
+        A = CSRMatrix(np.array([0, 2, 3, 5]), np.array([0, 1, 1, 0, 1]),
+                      np.arange(1.0, 6.0), (3, 2))
+        B = CSRMatrix(np.array([0, 2, 3]), np.array([0, n_cols - 1,
+                                                     n_cols - 1]),
+                      np.array([1.5, 2.5, 3.5]), (2, n_cols))
+        self._assert_replays_contraction(A, B)
+
+    @pytest.mark.parametrize("panel", [1, 5, 64])
+    def test_row_panels_build_the_one_panel_recipe(self, rng, panel,
+                                                   monkeypatch):
+        # rows longer than a panel, empty rows at the cuts (panels of no
+        # products) and a rectangular A @ B with B not A: the default
+        # panel holds all ~1,300 products, and every cut gives its bytes
+        A = _with_empty_rows_and_zeros(rng, (60, 70), 7)
+        B = _with_empty_rows_and_zeros(rng, (70, 30), 5)
+        whole_cold, whole_values, whole = _indexed(A, B)
+        assert whole.n_products <= expansion.BUILD_PANEL
+        monkeypatch.setattr(expansion, "BUILD_PANEL", panel)
+        cold, values, cut = _indexed(A, B)
+        pairs = [(getattr(cut, f), getattr(whole, f))
+                 for f in ("a_idx", "b_idx", "starts")]
+        pairs += [(getattr(cold, f), getattr(whole_cold, f))
+                  for f in ("rpt", "col", "row_counts")]
+        pairs.append((values, whole_values))
+        for got, want in pairs:
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        self._assert_replays_contraction(A, B)
+
+    @pytest.mark.parametrize("panel", [1, 5, 64, expansion.BUILD_PANEL])
+    def test_ties_broken_by_product_index(self, rng, panel, monkeypatch):
+        # A's rows repeat columns and list them out of order, B's rows are
+        # out of order: equal (row, col) pairs then come from different A
+        # nonzeros, and only their expansion order ranks them
+        monkeypatch.setattr(expansion, "BUILD_PANEL", panel)
+        A = _scrambled(rng, (60, 15), 9, repeats=True)
+        B = _scrambled(rng, (15, 40), 8, repeats=False)
+        assert not A.is_canonical() and not B.is_canonical()
+        self._assert_replays_contraction(A, B)
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(scrambled_pairs())
+    def test_any_scrambled_operands(self, drawn):
+        A, B, panel = drawn
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(expansion, "BUILD_PANEL", panel)
+            self._assert_replays_contraction(A, B)
+
+
 class TestReplayLayout:
     """A laid-out recipe replays the same bytes as the recipe it came from
     and as :func:`contract`, at every length-class boundary."""
 
     @staticmethod
     def _assert_layout_replays_bytes(A, B):
-        fresh = build_sort_recipe(A, B)
-        laid = lay_out_for_replay(fresh)
         with np.errstate(invalid="ignore", over="ignore"):   # inf - inf
+            _, cold_values, fresh = _indexed(A, B)
+            laid = lay_out_for_replay(fresh)
             exp = expand_products(A, B)
             C = contract(exp.rows, exp.cols, exp.vals, fresh.shape, A.dtype)
             want = values_from_recipe(fresh, A, B)
@@ -484,6 +529,8 @@ class TestReplayLayout:
         lengths = np.diff(fresh.starts, append=fresh.n_products)
         assert_same_bytes(want.astype(A.dtype), C.val, lengths,
                           "fresh recipe vs contract")
+        assert_same_bytes(cold_values, want, lengths,
+                          "cold pass vs fresh recipe")
         assert_same_bytes(got, want, lengths, "laid-out vs fresh recipe")
         assert laid.rpt is fresh.rpt and laid.col is fresh.col
         assert laid.row_counts is fresh.row_counts
@@ -554,7 +601,7 @@ class TestReplayLayout:
         assert laid.a_idx is fresh.a_idx and laid.starts is fresh.starts
 
     def test_nbytes_counts_the_run_order(self, small_banded):
-        fresh = build_sort_recipe(small_banded, small_banded)
+        fresh = _indexed(small_banded, small_banded)[2]
         laid = lay_out_for_replay(fresh)
         assert laid.nbytes() == (fresh.nbytes() + laid.run_order.nbytes
                                  - fresh.starts.nbytes + laid.starts.nbytes)

@@ -13,7 +13,7 @@ import repro
 from repro import perf
 from repro.sparse import expansion, generators, product
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.expansion import build_sort_recipe, lay_out_for_replay
+from repro.sparse.expansion import build_sort_recipe
 from repro.sparse.product import (clear_cache, compute_product,
                                   pattern_digest, pattern_fingerprint,
                                   product_for, recipe_for, _cache)
@@ -126,30 +126,42 @@ class TestProductCache:
         assert len(cache) <= 4 and cache.total == len(cache)
 
 
+def _counted(monkeypatch, name):
+    """Replace ``product.<name>`` with a wrapper that logs each call;
+    returns the log."""
+    calls = []
+    real = getattr(product, name)
+
+    def counted(*args):
+        calls.append(name)
+        return real(*args)
+
+    monkeypatch.setattr(product, name, counted)
+    return calls
+
+
 @pytest.fixture
 def builds(monkeypatch):
-    """Counts the sort-recipe builds behind the recipe store."""
-    calls = []
+    """Counts the cold passes (sort + sums) behind the recipe store."""
+    return _counted(monkeypatch, "build_sort_recipe")
 
-    def counted(A, B):
-        calls.append((A.shape, B.shape))
-        return build_sort_recipe(A, B)
 
-    monkeypatch.setattr(product, "build_sort_recipe", counted)
-    return calls
+@pytest.fixture
+def indexes(monkeypatch):
+    """Counts the index builds (a second sort) behind the recipe store."""
+    return _counted(monkeypatch, "index_sort_recipe")
 
 
 @pytest.fixture
 def layouts(monkeypatch):
-    """Counts the recipe store's re-layouts for replay."""
-    calls = []
+    """Counts the recipe store's layouts for replay."""
+    return _counted(monkeypatch, "lay_out_for_replay")
 
-    def counted(recipe):
-        calls.append(recipe.shape)
-        return lay_out_for_replay(recipe)
 
-    monkeypatch.setattr(product, "lay_out_for_replay", counted)
-    return calls
+@pytest.fixture
+def replays(monkeypatch):
+    """Counts the value computations along a stored recipe."""
+    return _counted(monkeypatch, "values_from_recipe")
 
 
 @pytest.fixture
@@ -189,10 +201,12 @@ class TestRecipeStore:
                                   rng=np.random.default_rng(i))
                 for i in range(n)]
 
-    def test_served_pool_builds_each_panel_recipe_once(self, builds):
+    def test_served_pool_builds_each_panel_recipe_once(self, builds,
+                                                       indexes, layouts):
         """Plan-cache hits on a 2-device pool replay from retained
         recipes: 9 patterns (18 row panels) cycled with fresh values for
-        3 rounds build 18 recipes, not one per panel run."""
+        3 rounds run the cold pass once per panel pattern and index and
+        lay out each panel once, on its first replay."""
         from repro.options import SpGEMMOptions, runner_for
 
         shapes = (lambda r: generators.banded(300, 8, rng=r),
@@ -203,17 +217,19 @@ class TestRecipeStore:
         runner = runner_for(SpGEMMOptions(devices=2))
         values = np.random.default_rng(0)
         runs = []
-        for _ in range(3):
+        for round_ in range(3):
             for P in patterns:
                 M = _fresh(P, values)
                 runs.append((M, runner.multiply(M, M).matrix))
-        assert len(builds) == 2 * len(patterns)
+            assert len(builds) == 2 * len(patterns), f"round {round_}"
+            assert len(indexes) == len(layouts) == (
+                0 if round_ == 0 else 2 * len(patterns)), f"round {round_}"
         for M, got in runs:
             assert got.allclose(spgemm_reference(M, M), rtol=1e-12)
 
     def test_eviction_is_least_recently_used(self, builds, monkeypatch):
         P1, P2, P3 = self._mats(3)
-        sizes = [build_sort_recipe(P, P).nbytes() for P in (P1, P2, P3)]
+        sizes = [build_sort_recipe(P, P)[0].nbytes() for P in (P1, P2, P3)]
         # room for P1 and P3, not for all three
         monkeypatch.setattr(product._recipes, "budget",
                             sizes[0] + sizes[2] + sizes[1] // 2)
@@ -230,13 +246,13 @@ class TestRecipeStore:
         for P in mats:
             recipe_for(P, P)
         assert product._recipes.total == sum(
-            build_sort_recipe(P, P).nbytes() for P in mats)
+            build_sort_recipe(P, P)[0].nbytes() for P in mats)
         perf.clear_fast_caches()
         assert product._recipes.total == 0 and len(product._recipes) == 0
 
     def test_recipe_over_budget_is_kept_alone(self, builds, monkeypatch):
         P1, P2 = self._mats(2)
-        small = build_sort_recipe(P1, P1).nbytes()
+        small = build_sort_recipe(P1, P1)[0].nbytes()
         monkeypatch.setattr(product._recipes, "budget", small)
         recipe_for(P1, P1)
         big = recipe_for(P2, P2)        # larger than the whole budget
@@ -245,59 +261,104 @@ class TestRecipeStore:
         assert product._recipes.total == big.nbytes()
         assert recipe_for(P2, P2) is big and len(builds) == 2
 
-    def test_cold_multiplies_lay_out_nothing(self, builds, layouts):
+    def test_cold_entry_holds_the_output_structure_alone(self):
+        """A pattern seen once keeps no per-product array: its entry's
+        bytes are the output ``rpt``/``col`` and the row counts."""
+        A = self._mats(1)[0]
+        C = compute_product(A, A).C
+        cold = recipe_for(A, A)
+        assert cold.a_idx is cold.b_idx is cold.starts is None
+        assert cold.run_order is None and cold.blocks == ()
+        assert cold.rpt is C.rpt and cold.col is C.col
+        assert cold.nbytes() == (cold.rpt.nbytes + cold.col.nbytes
+                                 + cold.row_counts.nbytes)
+        assert product._recipes.total == cold.nbytes()
+
+    def test_cold_multiplies_lay_out_nothing(self, builds, indexes, layouts,
+                                             replays):
         """The four paper algorithms squaring one matrix, as a figure pass
-        does: one recipe build, one value computation, no layout."""
+        does: one cold pass, and no index build, layout or replay."""
         A = self._mats(1)[0]
         for algo in ("proposal", "cusparse", "cusp", "bhsparse"):
             repro.multiply(A, A, algorithm=algo, precision="single")
-        assert len(builds) == 1 and layouts == []
+        assert len(builds) == 1
+        assert indexes == [] and layouts == [] and replays == []
 
-    def test_tuned_cold_multiply_lays_out_nothing(self, builds, layouts):
-        """The tuner's sketch builds the recipe and the multiply computes
-        its values: a read plus one value computation, so no layout."""
+    def test_second_value_computation_indexes_once(self, builds, indexes,
+                                                   layouts, replays):
+        """Fresh values on one pattern: the first computation is the cold
+        pass; the second indexes the recipe, lays it out, swaps it in and
+        replays it; later ones only replay.  Every value keeps the bytes
+        of the expansion + contraction."""
+        A = self._mats(1)[0]
+        values = np.random.default_rng(0)
+        counts = []
+        for _ in range(4):
+            M = _fresh(A, values)
+            got = compute_product(M, M).C.val
+            assert got.tobytes() == spgemm_reference(M, M).val.tobytes()
+            counts.append((len(builds), len(indexes), len(layouts),
+                           len(replays)))
+        assert counts == [(1, 0, 0, 0), (1, 1, 1, 1), (1, 1, 1, 2),
+                          (1, 1, 1, 3)]
+        laid = recipe_for(A, A)
+        assert laid.a_idx is not None and laid.starts is not None
+        assert product._recipes.total == laid.nbytes()
+
+    def test_tuned_cold_multiply_lays_out_nothing(self, builds, indexes,
+                                                  layouts, replays):
+        """The tuner's sketch reads the store before any values exist: its
+        miss runs the cold pass through the full-result cache, which the
+        tuned multiply then hits.  One sort, no index build, no layout
+        and no replay."""
         from repro.options import SpGEMMOptions, runner_for
 
         A = self._mats(1)[0]
-        runner_for(SpGEMMOptions(tune=True)).multiply(A, A)
-        assert len(builds) == 1 and layouts == []
+        got = runner_for(SpGEMMOptions(tune=True)).multiply(A, A).matrix
+        assert len(builds) == 1
+        assert indexes == [] and layouts == [] and replays == []
+        assert got.val.tobytes() == spgemm_reference(A, A).val.tobytes()
 
-    def test_plan_cached_iterates_lay_out_once(self, builds, layouts):
+    def test_plan_cached_iterates_lay_out_once(self, builds, indexes,
+                                               layouts, replays):
         """Eight fresh-value iterates through a held plan-cached runner:
-        the first replay lays the recipe out and swaps it in, the rest
-        build and lay out nothing, and every value keeps its bytes."""
+        the first replay indexes the recipe, lays it out and swaps it in,
+        the rest only replay, and every value keeps its bytes."""
         from repro.options import SpGEMMOptions, runner_for
 
         A = generators.banded(400, 10, rng=np.random.default_rng(0))
         runner = runner_for(SpGEMMOptions(engine=True, tune=True))
         first = runner.multiply(A, A).matrix
-        fresh = recipe_for(A, A)
-        assert len(builds) == 1 and layouts == [] and fresh.blocks is None
+        cold = recipe_for(A, A)
+        assert len(builds) == 1 and cold.a_idx is None
+        assert indexes == [] and layouts == [] and replays == []
         values = np.random.default_rng(1)
         for k in range(8):
             M = _fresh(A, values)
             got = runner.multiply(M, M).matrix
             assert got.val.tobytes() == spgemm_reference(M, M).val.tobytes()
-            assert len(builds) == 1 and len(layouts) == 1, f"iterate {k}"
+            assert (len(builds), len(indexes), len(layouts),
+                    len(replays)) == (1, 1, 1, k + 1), f"iterate {k}"
         laid = recipe_for(A, A)
         assert runner.inner.stats().hits == 8
-        assert laid.blocks and laid.valued
+        assert laid.blocks
         # the swap keeps the output structure: no rebuild, the same
         # rpt/col arrays the cold run's matrix (and its plan) hold
-        assert laid.rpt is fresh.rpt is first.rpt
-        assert laid.col is fresh.col is first.col
+        assert laid.rpt is cold.rpt is first.rpt
+        assert laid.col is cold.col is first.col
         assert product._recipes.total == laid.nbytes()
         assert len(product._recipes) == 1
 
-    def test_byte_total_follows_the_swaps(self, layouts, monkeypatch):
-        """Laid-out recipes replace fresh ones under the same keys: the
+    def test_byte_total_follows_the_swaps(self, indexes, layouts,
+                                          monkeypatch):
+        """Laid-out recipes replace cold ones under the same keys: the
         store's total stays the sum of what it retains."""
         monkeypatch.setattr(expansion, "MIN_CLASS_RUNS", 1)
         mats = self._mats(3)
         values = np.random.default_rng(0)
         for P in mats + mats:
             compute_product(_fresh(P, values), P)
-        assert len(layouts) == 3
+        assert len(indexes) == len(layouts) == 3
         retained = [recipe_for(P, P) for P in mats]
         assert all(r.blocks for r in retained)
         assert product._recipes.total == sum(r.nbytes() for r in retained)
@@ -348,12 +409,16 @@ class TestFingerprintMemo:
 
     def test_fresh_values_on_a_seen_structure_hash_nothing(self, hashes):
         A = self._banded()
+        # the store's miss runs the cold pass, whose product is cached
+        # under A's value tag: that hash is the structure's first sight
+        recipe = recipe_for(A, A)
+        hashes.update(values=0)
         digest = pattern_fingerprint(A, A)
         for seed in range(3):
             M = _fresh(A, np.random.default_rng(seed))
             assert pattern_fingerprint(M, M) == digest
             assert pattern_fingerprint(M.astype("single"), M) == digest
-            assert recipe_for(M, M) is recipe_for(A, A)
+            assert recipe_for(M, M) is recipe_for(A, A) is recipe
         assert hashes == {"pattern": 1, "values": 0}
 
     def test_square_cast_hashes_values_once(self, hashes):
@@ -389,6 +454,9 @@ class TestFingerprintMemo:
         A = self._banded()
         pattern_fingerprint(A, A)
         recipe_for(A, A)
+        # the store's miss cached the product, whose anchors hold the
+        # operands by design; the memo and the store hold none
+        _cache.clear()
         ref = weakref.ref(A.col)
         del A
         gc.collect()
