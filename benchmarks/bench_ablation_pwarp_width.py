@@ -2,11 +2,12 @@
 
 "We did preliminary evaluation with changing the number of threads per
 row as 1, 2, 4, 8 and 16.  In the result, 4 threads per row stably shows
-best performance."  Reproduced by sweeping ``pwarp_width`` on the two
-lowest-degree matrices.
+best performance."  Reproduced by sweeping the ``pwarp_width`` override
+on the two lowest-degree matrices.
 """
 
 from repro.bench.datasets import get_dataset
+from repro.core.params import ParamOverrides
 from repro.core.spgemm import HashSpGEMM
 
 from benchmarks.conftest import run_once
@@ -20,7 +21,7 @@ def _sweep():
     for name in MATRICES:
         A = get_dataset(name).matrix()
         out[name] = {
-            w: HashSpGEMM(pwarp_width=w).multiply(
+            w: HashSpGEMM(overrides=ParamOverrides(pwarp_width=w)).multiply(
                 A, A, precision="single",
                 matrix_name=name).report.total_seconds
             for w in WIDTHS

@@ -13,7 +13,7 @@ One module per concern:
 
 from repro.bench.datasets import (DATASETS, LARGE_GRAPHS, TABLE2, Dataset,
                                   PaperStats, get_dataset)
-from repro.bench.profile import profile_call, profiled, render_stats
+from repro.bench.profile import profile_call, render_stats
 from repro.bench.runner import BenchRun, run_suite
 from repro.bench.wallclock import WallClockStat, run_wallclock_suite
 
@@ -27,7 +27,6 @@ __all__ = [
     "WallClockStat",
     "get_dataset",
     "profile_call",
-    "profiled",
     "render_stats",
     "run_suite",
     "run_wallclock_suite",

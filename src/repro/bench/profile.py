@@ -7,7 +7,6 @@ standard library profiler:
 
 * :func:`profile_call` -- run one callable under ``cProfile`` and return
   ``(result, report)`` where the report is the top-N cumulative table;
-* :func:`profiled` -- the context-manager form for profiling a region;
 * :func:`render_stats` -- format an existing profile the same way.
 
 The CLI exposes it as ``python -m repro multiply --profile [FILE]``, and
@@ -20,7 +19,6 @@ from __future__ import annotations
 import cProfile
 import io
 import pstats
-from contextlib import contextmanager
 from typing import Any, Callable
 
 #: Rows of the cumulative-time table (the hot path fits comfortably).
@@ -55,23 +53,6 @@ def profile_call(fn: Callable[..., Any], *args, top: int = DEFAULT_TOP,
     finally:
         profile.disable()
     return result, render_stats(profile, top=top)
-
-
-@contextmanager
-def profiled(sink: Callable[[str], None], *, top: int = DEFAULT_TOP):
-    """Profile the ``with`` body; pass the rendered table to ``sink``.
-
-    The sink runs even when the body raises (that is the CI-artifact
-    case: the fence tripped, attach the profile), after the profiler is
-    stopped so the sink's own work is not measured.
-    """
-    profile = cProfile.Profile()
-    profile.enable()
-    try:
-        yield profile
-    finally:
-        profile.disable()
-        sink(render_stats(profile, top=top))
 
 
 def write_profile(path: str, report: str) -> None:

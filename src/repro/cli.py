@@ -211,28 +211,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_matrix(args):
-    if args.matrix:
-        from repro.sparse.io import read_matrix_market
-
-        return read_matrix_market(args.matrix, precision=args.precision), \
-            args.matrix
-    if args.dataset:
-        from repro.bench.datasets import get_dataset
-
-        return get_dataset(args.dataset).matrix(), args.dataset
-
+def _generated(spec: str):
+    """``(matrix, name)`` of a generator spec ``KIND:N:NNZ``, the form
+    of ``--generate`` and of a serve trace's ``matrix`` entries."""
     from repro.sparse import generators as G
 
-    if not args.generate:
-        # no source given: a small deterministic default workload
-        return G.banded(1000, 16, rng=0), "banded:1000"
-
     try:
-        kind, n, nnz = args.generate.split(":")
+        kind, n, nnz = spec.split(":")
         n, nnz = int(n), float(nnz)
     except ValueError:
-        raise SystemExit(f"bad --generate spec {args.generate!r}; "
+        raise SystemExit(f"bad --generate spec {spec!r}; "
                          "expected KIND:N:NNZ") from None
     makers = {
         "banded": lambda: G.banded(n, int(nnz), rng=0),
@@ -245,6 +233,24 @@ def _load_matrix(args):
         raise SystemExit(f"unknown generator {kind!r}; "
                          f"choose from {sorted(makers)}")
     return makers[kind](), f"{kind}:{n}"
+
+
+def _load_matrix(args):
+    if args.matrix:
+        from repro.sparse.io import read_matrix_market
+
+        return read_matrix_market(args.matrix, precision=args.precision), \
+            args.matrix
+    if args.dataset:
+        from repro.bench.datasets import get_dataset
+
+        return get_dataset(args.dataset).matrix(), args.dataset
+    if not args.generate:
+        # no source given: a small deterministic default workload
+        from repro.sparse import generators as G
+
+        return G.banded(1000, 16, rng=0), "banded:1000"
+    return _generated(args.generate)
 
 
 def cmd_info(args) -> int:
@@ -492,22 +498,7 @@ def _matrix_from_spec(spec: str, cache: dict):
     if m is not None:
         return m
     if ":" in spec:
-        from repro.sparse import generators as G
-
-        kind, n, nnz = spec.split(":")
-        n, nnz = int(n), float(nnz)
-        makers = {
-            "banded": lambda: G.banded(n, int(nnz), rng=0),
-            "stencil": lambda: G.stencil_regular(n, int(nnz), rng=0),
-            "powerlaw": lambda: G.power_law(n, nnz,
-                                            max(64, int(20 * nnz)), rng=0),
-            "random": lambda: G.random_csr(n, n, nnz, rng=0),
-            "poisson": lambda: G.poisson2d(n),
-        }
-        if kind not in makers:
-            raise SystemExit(f"unknown generator {kind!r} in trace; "
-                             f"choose from {sorted(makers)}")
-        m = makers[kind]()
+        m = _generated(spec)[0]
     else:
         from repro.bench.datasets import get_dataset
 

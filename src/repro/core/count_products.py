@@ -7,6 +7,9 @@ relatively small compared to whole SpGEMM execution" (Section III-A).
 The chunking primitives here serve every per-row kernel builder, and the
 builders take per-row arrays, not matrices: ``nnz_a`` is A's row lengths
 (``ProductResult.nnz_a`` in a leaf, the sketch's in the autotuner).
+Both kernels serve both backends: a GPU block is :data:`BLOCK_THREADS`
+threads, one per row; a CPU leaf passes its worker ``threads`` and
+scheduling chunk as ``rows_per_block``.
 """
 
 from __future__ import annotations
@@ -39,7 +42,11 @@ def chunk_maxes(per_row: np.ndarray, chunk: int) -> np.ndarray:
     return _chunked(np.maximum, per_row, chunk)
 
 
-def count_products_kernel(nnz_a: np.ndarray, *, stream: int = 0,
+def count_products_kernel(nnz_a: np.ndarray, *,
+                          name: str = "count_products",
+                          threads: int = BLOCK_THREADS,
+                          rows_per_block: int = BLOCK_THREADS,
+                          stream: int = 0,
                           phase: str = "setup") -> KernelLaunch:
     """Kernel launch charging the cost of Alg. 2 over rows of lengths
     ``nnz_a``.
@@ -49,17 +56,19 @@ def count_products_kernel(nnz_a: np.ndarray, *, stream: int = 0,
     and the 4-byte result store.
     """
     nnz_a = np.asarray(nnz_a, dtype=np.float64)
-    works = BlockWorks(flops=chunk_sums(nnz_a, BLOCK_THREADS),
+    works = BlockWorks(flops=chunk_sums(nnz_a, rows_per_block),
                        gmem_coalesced_bytes=chunk_sums(8.0 + 4.0 * nnz_a + 4.0,
-                                                       BLOCK_THREADS),
-                       gmem_random=chunk_sums(nnz_a, BLOCK_THREADS))
-    return KernelLaunch(name="count_products", block_threads=BLOCK_THREADS,
+                                                       rows_per_block),
+                       gmem_random=chunk_sums(nnz_a, rows_per_block))
+    return KernelLaunch(name=name, block_threads=threads,
                         shared_bytes_per_block=0, works=works, stream=stream,
                         phase=phase)
 
 
 def pass_over_rows_kernel(name: str, n_rows: int, words_per_row: float,
-                          *, stream: int = 0, phase: str = "setup") -> KernelLaunch:
+                          *, threads: int = BLOCK_THREADS,
+                          rows_per_block: int = BLOCK_THREADS,
+                          stream: int = 0, phase: str = "setup") -> KernelLaunch:
     """Generic streaming pass over per-row arrays (grouping scatter, scans).
 
     ``words_per_row`` counts the 4-byte words read plus written per row.
@@ -67,12 +76,12 @@ def pass_over_rows_kernel(name: str, n_rows: int, words_per_row: float,
     exclusive scan -- all bandwidth-bound, perfectly coalesced.  Zero
     rows make one block with no work, as in :func:`chunk_sums`.
     """
-    blocks = max(1, -(-n_rows // BLOCK_THREADS))
-    per_block = np.full(blocks, BLOCK_THREADS * 4.0 * words_per_row)
-    per_block[-1] = (n_rows - (blocks - 1) * BLOCK_THREADS) * 4.0 * words_per_row
+    blocks = max(1, -(-n_rows // rows_per_block))
+    per_block = np.full(blocks, rows_per_block * 4.0 * words_per_row)
+    per_block[-1] = (n_rows - (blocks - 1) * rows_per_block) * 4.0 * words_per_row
     works = BlockWorks(n_blocks=blocks,
                        flops=per_block / 4.0,
                        gmem_coalesced_bytes=per_block)
-    return KernelLaunch(name=name, block_threads=BLOCK_THREADS,
+    return KernelLaunch(name=name, block_threads=threads,
                         shared_bytes_per_block=0, works=works, stream=stream,
                         phase=phase)

@@ -28,7 +28,6 @@ class GroupAssignment:
     """
 
     table: GroupTable
-    metric: str                     #: 'products', 'nnz' or 'estimate'
     gids: np.ndarray
     rows_by_group: list[np.ndarray]
 
@@ -125,5 +124,5 @@ def group_rows(counts: np.ndarray, table: GroupTable,
     gids = assign_gids(counts, table, metric)
     rows_by_group = [np.flatnonzero(gids == params.gid).astype(INDEX_DTYPE)
                      for params in table]
-    return GroupAssignment(table=table, metric=metric, gids=gids,
+    return GroupAssignment(table=table, gids=gids,
                            rows_by_group=rows_by_group)

@@ -28,9 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import DeviceConfigError
+from repro.errors import AlgorithmError, DeviceConfigError
 from repro.gpu.device import DeviceSpec
-from repro.types import HASH_SCAL, TunableParams, next_pow2
+from repro.types import TunableParams, next_pow2
 
 #: Number of threads cooperating on one row in PWARP/ROW.  Section III-B:
 #: a preliminary sweep over 1/2/4/8/16 threads found 4 stably best; the
@@ -47,6 +47,10 @@ PWARP_TABLE_SYMBOLIC = 32
 #: Numeric-phase per-row table entries in the PWARP group (>= the 16-nnz
 #: group boundary).
 PWARP_TABLE_NUMERIC = 16
+
+#: Valid values of a symbolic-phase choice: the proposal's ``symbolic``
+#: switch, :attr:`ParamOverrides.symbolic` and ``SpGEMMOptions.symbolic``.
+SYMBOLIC_MODES = ("exact", "estimate")
 
 ASSIGN_TB = "TB/ROW"
 ASSIGN_PWARP = "PWARP/ROW"
@@ -84,17 +88,13 @@ class ParamOverrides(TunableParams):
     max_block_threads:
         Starting block size of the TB/ROW halving ladder (Table I's
         Group 1); rounded down to a power of two, floored at the warp.
-    hash_scal:
-        Multiplier of the paper's ``(key * HASH_SCAL) % size`` hash.
-        Functional only: the cost model is multiplier-invariant, so the
-        search keeps it unless a collision pathology is being probed, and
-        the oracle validation guards any value.
     symbolic:
         ``'estimate'`` replaces the exact count phase with the sampled
         estimator of :mod:`repro.estimate` (``'exact'`` forces the
-        paper's count kernels).  A string, not a table input:
-        :func:`build_group_table` ignores it, but it participates in
-        :meth:`switches` so plan-cache keys partition estimated vs
+        paper's count kernels); any other string raises
+        :class:`~repro.errors.AlgorithmError`.  A string, not a table
+        input: :func:`build_group_table` ignores it, but it participates
+        in :meth:`switches` so plan-cache keys partition estimated vs
         exact plans and the autotuner can search it as an axis.
     """
 
@@ -102,12 +102,19 @@ class ParamOverrides(TunableParams):
     pwarp_width: int | None = None
     pwarp_nnz_max: int | None = None
     max_block_threads: int | None = None
-    hash_scal: int | None = None
     symbolic: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.symbolic is not None and self.symbolic not in SYMBOLIC_MODES:
+            raise AlgorithmError(
+                f"unknown symbolic mode {self.symbolic!r} "
+                f"in overrides (expected one of {list(SYMBOLIC_MODES)})")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ParamOverrides":
-        """Inverse of :meth:`to_dict`; unknown keys raise ``TypeError``."""
+        """Inverse of :meth:`to_dict`; unknown keys raise ``TypeError``,
+        a value of the wrong kind ``ValueError`` or ``TypeError``, an
+        unknown symbolic mode :class:`~repro.errors.AlgorithmError`."""
         return cls(**{k: (str(v) if k == "symbolic" else int(v))
                       for k, v in d.items()})
 
@@ -159,15 +166,10 @@ class GroupParams:
 
 @dataclass(frozen=True)
 class GroupTable:
-    """The full group table for a device (Table I for the P100).
-
-    ``hash_scal`` is the hash-function multiplier the kernels of this
-    table use (the paper's ``HASH_SCAL`` = 107 unless overridden).
-    """
+    """The full group table for a device (Table I for the P100)."""
 
     device_name: str
     groups: tuple[GroupParams, ...]   #: ordered by gid (0 = largest rows)
-    hash_scal: int = HASH_SCAL
 
     def __iter__(self):
         return iter(self.groups)
@@ -201,7 +203,6 @@ class GroupTable:
 
 
 def build_group_table(device: DeviceSpec,
-                      pwarp_width: int = PWARP_WIDTH,
                       uniform_tb: bool = False,
                       overrides: ParamOverrides | None = None) -> GroupTable:
     """Derive the group table for ``device`` per Section III-D.
@@ -210,9 +211,6 @@ def build_group_table(device: DeviceSpec,
     8-byte value = 12 bytes), as the paper does when deriving Table I; the
     same group structure is used for single precision (where the numeric
     tables simply occupy less shared memory, raising occupancy).
-
-    ``pwarp_width`` overrides the threads-per-row of the PWARP group for
-    the Section III-B width-sweep experiment (1/2/4/8/16).
 
     ``uniform_tb=True`` disables the halving scheme: every TB/ROW group
     keeps the maximum block size and table size.  This is the ablation of
@@ -223,13 +221,13 @@ def build_group_table(device: DeviceSpec,
 
     ``overrides`` (a :class:`ParamOverrides`, typically from the
     autotuner) replaces individual Table I construction inputs; its
-    ``pwarp_width`` wins over the positional argument.  Invalid
-    combinations raise :class:`~repro.errors.DeviceConfigError`, so the
-    tuner can discard infeasible candidates.
+    ``pwarp_width`` sets the threads-per-row of the PWARP group, which
+    is also how the Section III-B width sweep (1/2/4/8/16) runs.
+    Invalid combinations raise :class:`~repro.errors.DeviceConfigError`,
+    so the tuner can discard infeasible candidates.
     """
     ov = overrides or ParamOverrides()
-    if ov.pwarp_width is not None:
-        pwarp_width = ov.pwarp_width
+    pwarp_width = PWARP_WIDTH if ov.pwarp_width is None else ov.pwarp_width
     if pwarp_width < 1 or pwarp_width > device.warp_size:
         raise DeviceConfigError(f"pwarp width {pwarp_width} out of range")
     entry_bytes = 12  # key (4) + double value (8)
@@ -339,6 +337,4 @@ def build_group_table(device: DeviceSpec,
             g = GroupParams(**{**g.__dict__,
                                "min_products": 2 * pwarp_nnz_max + 1})
         fixed.append(g)
-    return GroupTable(device_name=device.name, groups=tuple(fixed),
-                      hash_scal=(ov.hash_scal if ov.hash_scal is not None
-                                 else HASH_SCAL))
+    return GroupTable(device_name=device.name, groups=tuple(fixed))

@@ -101,20 +101,21 @@ def split_row_panels(row_products: np.ndarray,
                      n_panels: int) -> list[tuple[int, int]]:
     """Partition rows into ``n_panels`` contiguous panels balanced by
     their intermediate-product counts (Alg. 2), so each panel's expanded
-    working set is a roughly equal share of the total.
+    working set is a roughly equal share of the total: the distributed
+    partitioner's :func:`~repro.dist.partition.prefix_cut` at equal
+    shares, with empty panels dropped.
 
     Returns half-open ``(lo, hi)`` row ranges covering ``[0, n_rows)``.
     """
+    from repro.dist.partition import prefix_cut  # repro.dist imports us
+
     weights = np.maximum(np.asarray(row_products, dtype=np.float64), 1.0)
     n = weights.shape[0]
     if n == 0:
         return []
     n_panels = max(1, min(int(n_panels), n))
-    cum = np.cumsum(weights)
-    targets = cum[-1] * np.arange(1, n_panels) / n_panels
-    cuts = np.searchsorted(cum, targets, side="left") + 1
-    bounds = np.unique(np.concatenate(([0], cuts, [n])))
-    return list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+    bounds = prefix_cut(np.cumsum(weights), np.ones(n_panels)).tolist()
+    return [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
 
 
 def merge_panel_reports(reports: list[SimReport], *, algorithm: str,

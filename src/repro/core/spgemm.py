@@ -15,7 +15,8 @@
 Constructor switches drive the paper's ablations: ``use_streams=False``
 serializes all kernels (Section IV-C: x1.3 on Circuit), ``use_pwarp=False``
 routes tiny rows through the smallest TB/ROW group (x3.1 on Epidemiology),
-``pwarp_width`` sweeps threads-per-row (Section III-B preliminary).
+and ``overrides=ParamOverrides(pwarp_width=w)`` sweeps threads-per-row
+(Section III-B preliminary).
 
 The flow is written once; only steps (2)-(3) come in two forms.  The
 exact symbolic step groups rows by products and runs the count kernels
@@ -44,7 +45,7 @@ from repro.core.count_products import (BLOCK_THREADS, count_products_kernel,
                                        pass_over_rows_kernel)
 from repro.core.grouping import GroupAssignment, group_rows
 from repro.core.numeric import plan_numeric
-from repro.core.params import PWARP_WIDTH, ParamOverrides, build_group_table
+from repro.core.params import SYMBOLIC_MODES, ParamOverrides, build_group_table
 from repro.core.symbolic import global_recount_kernel, plan_symbolic
 from repro.errors import AlgorithmError
 from repro.estimate import (DEFAULT_MARGIN, DEFAULT_SAMPLES, estimate_row_nnz,
@@ -56,9 +57,6 @@ from repro.sparse.csr import CSRMatrix
 from repro.sparse.product import ProductResult
 from repro.types import INDEX_DTYPE, Precision
 
-#: Valid values of the ``symbolic`` constructor switch.
-SYMBOLIC_MODES = ("exact", "estimate")
-
 
 class HashSpGEMM(SpGEMMAlgorithm):
     """The paper's SpGEMM (released by the authors as *nsparse*)."""
@@ -67,7 +65,6 @@ class HashSpGEMM(SpGEMMAlgorithm):
     param_type = ParamOverrides
 
     def __init__(self, *, use_streams: bool = True, use_pwarp: bool = True,
-                 pwarp_width: int = PWARP_WIDTH,
                  uniform_tb: bool = False,
                  overrides: "ParamOverrides | dict | None" = None,
                  symbolic: str = "exact",
@@ -76,18 +73,12 @@ class HashSpGEMM(SpGEMMAlgorithm):
                  estimate_seed: int = 0) -> None:
         self.use_streams = use_streams
         self.use_pwarp = use_pwarp
-        self.pwarp_width = pwarp_width
         self.uniform_tb = uniform_tb
         self._init_params(overrides)
         if symbolic not in SYMBOLIC_MODES:
             raise AlgorithmError(
                 f"unknown symbolic mode {symbolic!r} "
                 f"(expected one of {list(SYMBOLIC_MODES)})")
-        if self.params.symbolic is not None \
-                and self.params.symbolic not in SYMBOLIC_MODES:
-            raise AlgorithmError(
-                f"unknown symbolic mode {self.params.symbolic!r} "
-                f"in overrides (expected one of {list(SYMBOLIC_MODES)})")
         self.symbolic = symbolic
         self.estimate_samples = int(estimate_samples)
         self.estimate_margin = float(estimate_margin)
@@ -106,7 +97,6 @@ class HashSpGEMM(SpGEMMAlgorithm):
             overrides = dataclasses.replace(overrides, symbolic=None)
         return HashSpGEMM(use_streams=self.use_streams,
                           use_pwarp=self.use_pwarp,
-                          pwarp_width=self.pwarp_width,
                           uniform_tb=self.uniform_tb,
                           overrides=overrides,
                           symbolic="exact",
@@ -122,7 +112,6 @@ class HashSpGEMM(SpGEMMAlgorithm):
         so estimated and exact plans of one pattern never alias."""
         switches = (("use_streams", self.use_streams),
                     ("use_pwarp", self.use_pwarp),
-                    ("pwarp_width", self.pwarp_width),
                     ("uniform_tb", self.uniform_tb),
                     ("overrides", self.params.switches()),
                     ("symbolic", self.effective_symbolic))
@@ -134,8 +123,7 @@ class HashSpGEMM(SpGEMMAlgorithm):
 
     def _table(self, device: DeviceSpec):
         """The (possibly tuned) group table driving both phases."""
-        return build_group_table(device, pwarp_width=self.pwarp_width,
-                                 uniform_tb=self.uniform_tb,
+        return build_group_table(device, uniform_tb=self.uniform_tb,
                                  overrides=self.params)
 
     def _group(self, counts: np.ndarray, table, metric: str) -> GroupAssignment:

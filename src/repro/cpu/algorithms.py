@@ -30,6 +30,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.base import SpGEMMAlgorithm, SpGEMMResult
+from repro.core.count_products import (count_products_kernel,
+                                       pass_over_rows_kernel)
 from repro.cpu import plan as cplan
 from repro.cpu.device import KNL64
 from repro.cpu.params import CPUParams
@@ -69,8 +71,9 @@ class _CPUAlgorithm(SpGEMMAlgorithm):
         nnz_a = prod.nnz_a.astype(np.float64)
 
         d_products = ctx.alloc("row_products", 4 * n_rows, phase="setup")
-        ctx.run("setup", [cplan.count_products_cpu_kernel(
-            nnz_a, threads=threads, block_rows=block_rows)],
+        ctx.run("setup", [count_products_kernel(
+            nnz_a, name="cpu_count_products", threads=threads,
+            rows_per_block=block_rows)],
             use_streams=self.use_streams)
         return threads, block_rows, nnz_a, d_products
 
@@ -133,9 +136,9 @@ class HashCPUSpGEMM(_CPUAlgorithm):
             threads=threads, block_rows=block_rows)],
             use_streams=self.use_streams)
         ctx.free(sym_tables)
-        ctx.run("count", [cplan.pass_over_rows_cpu_kernel(
+        ctx.run("count", [pass_over_rows_kernel(
             "scan_rpt_c", n_rows, 2.0, threads=threads,
-            block_rows=block_rows, phase="count")],
+            rows_per_block=block_rows, phase="count")],
             use_streams=self.use_streams)
 
         # -- allocate C after the host reads the total back ----
@@ -188,9 +191,9 @@ class HeapCPUSpGEMM(_CPUAlgorithm):
             "cpu_heap_symbolic", nnz_a, row_products, row_nnz, p,
             numeric=False, threads=threads, block_rows=block_rows)],
             use_streams=self.use_streams)
-        ctx.run("count", [cplan.pass_over_rows_cpu_kernel(
+        ctx.run("count", [pass_over_rows_kernel(
             "scan_rpt_c", n_rows, 2.0, threads=threads,
-            block_rows=block_rows, phase="count")],
+            rows_per_block=block_rows, phase="count")],
             use_streams=self.use_streams)
 
         ctx.host_sync("count")
@@ -241,9 +244,9 @@ class PropBlockSpGEMM(_CPUAlgorithm):
             nnz_a, row_products, p, threads=threads, block_rows=block_rows,
             bins=bins)],
             use_streams=self.use_streams)
-        ctx.run("count", [cplan.pass_over_rows_cpu_kernel(
+        ctx.run("count", [pass_over_rows_kernel(
             "scan_rpt_c", n_rows, 2.0, threads=threads,
-            block_rows=block_rows, phase="count")],
+            rows_per_block=block_rows, phase="count")],
             use_streams=self.use_streams)
 
         ctx.host_sync("count")

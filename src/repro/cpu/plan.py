@@ -7,6 +7,8 @@ products per row), ``nnz_out`` (C's row lengths) -- chunks them into
 :func:`~repro.core.count_products.chunk_sums` primitives, and emits one
 :class:`~repro.gpu.kernel.KernelLaunch` whose chunks carry the CPU
 reinterpretation of the seven work columns (see :mod:`repro.cpu.cost`).
+Alg. 2's count and the streaming row pass are the core builders
+(:mod:`repro.core.count_products`), called with the CPU's chunking.
 
 Working on bare arrays (not matrices) lets the autotuner score the same
 builders on a reconstructed :class:`~repro.tune.sketch.MatrixSketch` --
@@ -64,42 +66,6 @@ def cache_penalty_array(table_bytes: np.ndarray, spec: CPUSpec) -> np.ndarray:
     tb = np.asarray(table_bytes, dtype=np.float64)
     return np.select([tb <= spec.l1_bytes, tb <= spec.l2_bytes],
                      [1.0, spec.l2_penalty], default=spec.llc_penalty)
-
-
-# -- generic passes ----------------------------------------------------------
-
-
-def count_products_cpu_kernel(nnz_a: np.ndarray, *, threads: int,
-                              block_rows: int, stream: int = 0,
-                              phase: str = "setup") -> KernelLaunch:
-    """Alg. 2 on the CPU: per row, stream A's entries and gather one
-    ``rpt_B`` pair per A-nonzero."""
-    nnz_a = np.asarray(nnz_a, dtype=np.float64)
-    works = BlockWorks(
-        flops=chunk_sums(nnz_a, block_rows),
-        gmem_coalesced_bytes=chunk_sums(8.0 + 4.0 * nnz_a + 4.0, block_rows),
-        gmem_random=chunk_sums(nnz_a, block_rows),
-    )
-    return KernelLaunch(name="cpu_count_products", block_threads=threads,
-                        shared_bytes_per_block=0, works=works, stream=stream,
-                        phase=phase)
-
-
-def pass_over_rows_cpu_kernel(name: str, n_rows: int, words_per_row: float,
-                              *, threads: int, block_rows: int,
-                              stream: int = 0,
-                              phase: str = "setup") -> KernelLaunch:
-    """Streaming pass over per-row arrays (scans, scatters): perfectly
-    coalesced, one op per word.  Zero rows make one chunk with no work,
-    as in :func:`~repro.core.count_products.chunk_sums`."""
-    n_chunks = max(1, -(-n_rows // block_rows))
-    per_chunk = np.full(n_chunks, block_rows * 4.0 * words_per_row)
-    per_chunk[-1] = (n_rows - (n_chunks - 1) * block_rows) * 4.0 * words_per_row
-    works = BlockWorks(flops=per_chunk / 4.0,
-                       gmem_coalesced_bytes=per_chunk)
-    return KernelLaunch(name=name, block_threads=threads,
-                        shared_bytes_per_block=0, works=works, stream=stream,
-                        phase=phase)
 
 
 # -- hash accumulator (Nagasaka-Azad) ----------------------------------------

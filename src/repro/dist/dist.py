@@ -60,7 +60,7 @@ from repro.gpu.timeline import PHASES, KernelRecord, SimReport
 from repro.obs import events as OBS
 from repro.obs.events import Event
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.product import pattern_fingerprint, value_tags
+from repro.sparse.product import operand_key
 from repro.types import Precision
 
 #: Wall time of the control-plane round that notices a dead device
@@ -378,15 +378,14 @@ class DistSpGEMM(SpGEMMAlgorithm):
         broadcast succeeded -- a failed round must not leave the driver
         believing B is resident.
         """
-        pattern = pattern_fingerprint(B)
-        (values,) = value_tags(B)
+        key = operand_key(B)
         cached = False
         if self._resident_b is None:
             nbytes = B.device_bytes(p)
-        elif self._resident_b == (pattern, values):
+        elif self._resident_b == key:
             nbytes = 0
             cached = True
-        elif self._resident_b[0] == pattern:
+        elif self._resident_b[0] == key[0]:
             nbytes = B.nnz * p.value_bytes   # value-only delta
             cached = True
         else:
@@ -413,7 +412,7 @@ class DistSpGEMM(SpGEMMAlgorithm):
         if wall > 0.0:
             clk.charge("comm", wall, "comm",
                        f"broadcast B to {len(active)} devices")
-        self._resident_b = (pattern, values)
+        self._resident_b = key
 
     def _gather(self, parts: list[CSRMatrix], p: Precision,
                 slots: list[DeviceSlot], clk: _DriverClock) -> None:

@@ -19,7 +19,8 @@ the per-panel guarantee is
 -- perfect balance up to the granularity of a single row, which the
 property tests pin down.  Panels are half-open row ranges tiling
 ``[0, n_rows)`` in order; a panel may be empty when a device's share is
-smaller than the next row.
+smaller than the next row.  The resilience ladder's row panels use the
+same cut, :func:`prefix_cut`, at equal shares.
 """
 
 from __future__ import annotations
@@ -113,16 +114,23 @@ class Partition:
         return "\n".join(lines)
 
 
+def prefix_cut(cum: np.ndarray, shares: np.ndarray) -> np.ndarray:
+    """The ``len(shares) + 1`` panel bounds cutting the cumulative row
+    work ``cum`` (of positive rows) at the prefix targets of ``shares``:
+    ``searchsorted`` lands each on the first row whose prefix reaches
+    it.  Equal neighbouring bounds are empty panels."""
+    n = cum.shape[0]
+    targets = cum[-1] * np.cumsum(shares[:-1]) / shares.sum()
+    cuts = np.searchsorted(cum, targets, side="left") + 1
+    bounds = np.concatenate(([0], np.minimum(cuts, n), [n]))
+    return np.maximum.accumulate(bounds)
+
+
 def partition_rows(A: CSRMatrix, B: CSRMatrix, weights,
                    precision: Precision | str = Precision.DOUBLE
                    ) -> Partition:
-    """Cut A's rows into one contiguous panel per device weight.
-
-    The cut points are the weighted prefix targets of the cumulative
-    row-work sum; ``searchsorted`` lands each boundary on the first row
-    whose prefix reaches the target, so every panel's work stays within
-    one row of its proportional share.
-    """
+    """Cut A's rows into one contiguous panel per device weight, the
+    :func:`prefix_cut` of the modeled row work."""
     weights = np.asarray(weights, dtype=np.float64)
     if weights.ndim != 1 or weights.size == 0 or np.any(weights <= 0):
         raise ValueError("partition_rows needs a non-empty vector of "
@@ -136,10 +144,7 @@ def partition_rows(A: CSRMatrix, B: CSRMatrix, weights,
                          total_work=0.0, max_row_work=0.0)
     row_work = np.maximum(estimate_row_work(A, B, precision), 1.0)
     cum = np.cumsum(row_work)
-    targets = cum[-1] * np.cumsum(weights[:-1]) / weights.sum()
-    cuts = np.searchsorted(cum, targets, side="left") + 1
-    bounds = np.concatenate(([0], np.minimum(cuts, n), [n]))
-    bounds = np.maximum.accumulate(bounds)
+    bounds = prefix_cut(cum, weights)
     panels = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
     prefix = np.concatenate(([0.0], cum))
     work = [float(prefix[hi] - prefix[lo]) for lo, hi in panels]

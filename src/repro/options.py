@@ -28,14 +28,12 @@ from typing import Any
 
 from repro.backend import backends, resolve_device
 from repro.base import SpGEMMAlgorithm, SpGEMMResult
+from repro.core.params import SYMBOLIC_MODES
 from repro.errors import OptionsError, UnknownAlgorithmError
 from repro.gpu.device import P100, DeviceSpec
 from repro.gpu.faults import FaultPlan
 from repro.sparse.csr import CSRMatrix
 from repro.types import Precision
-
-#: Valid values of :attr:`SpGEMMOptions.symbolic`.
-SYMBOLIC_MODES = ("exact", "estimate")
 
 
 def _check_option_names(names: Iterable[str], *, context: str) -> None:
@@ -84,13 +82,13 @@ class SpGEMMOptions:
         device runs ``algorithm`` behind its own engine (unless
         ``engine=False``), sized by ``cache_budget_bytes``; the ladder
         fields do not compose with it.
-    tune / tune_store / tune_top_k
+    tune / tune_store
         ``tune=True`` autotunes the leaf's parameters per device before
         running (Table I for the proposal; ``tile`` and the CPU leaves
         have their own families, the baselines none); ``tune_store`` (a
         :class:`~repro.tune.TuningStore` or a path) persists tuned
-        configs across processes.  A distributed run searches with the
-        default ``tune_top_k``.
+        configs across processes.  The search measures the default and
+        the :data:`~repro.tune.tuner.DEFAULT_TOP_K` best-scored configs.
     symbolic
         ``'estimate'`` replaces the exact symbolic count phase with the
         sampled estimator of :mod:`repro.estimate` (per-row nnz bounds,
@@ -108,7 +106,8 @@ class SpGEMMOptions:
     algo_options
         Extra constructor kwargs for the algorithm (ablation switches
         like ``use_streams=False``, a :class:`~repro.core.params.
-        ParamOverrides` via ``overrides=...``).
+        ParamOverrides` or its dict form via ``overrides=...``, as in
+        the PWARP width sweep's ``{"overrides": {"pwarp_width": 8}}``).
     """
 
     algorithm: str = "proposal"
@@ -123,7 +122,6 @@ class SpGEMMOptions:
     interconnect: str = "pcie"
     tune: bool = False
     tune_store: object = None
-    tune_top_k: int = 3
     symbolic: str = "exact"
     observe: bool = True
     algo_options: dict = field(default_factory=dict)
@@ -181,7 +179,7 @@ class SpGEMMOptions:
                  str(self.engine), str(self.cache_budget_bytes),
                  str(self.resilient), str(self.memory_budget),
                  str(self.max_panels), str(self.devices), self.interconnect,
-                 str(self.tune), str(self.tune_top_k), self.symbolic,
+                 str(self.tune), self.symbolic,
                  str(self.observe)]
         parts += [f"{k}={self.algo_options[k]}"
                   for k in sorted(self.algo_options)]
@@ -233,9 +231,9 @@ def _dist_runner(o: SpGEMMOptions, devices: "int | tuple[str, ...]",
 
     It builds each device's engine and runs the per-device tuning
     itself, so ``cache_budget_bytes`` sizes those engines.  The fields
-    it cannot honour raise :class:`~repro.errors.OptionsError` rather
-    than being dropped: the resilience ladder (a pool recovers by
-    repartitioning) and a non-default ``tune_top_k``.
+    it cannot honour, the resilience ladder's (a pool recovers by
+    repartitioning), raise :class:`~repro.errors.OptionsError` rather
+    than being dropped.
     """
     from repro.dist import DevicePool, DistSpGEMM
 
@@ -243,11 +241,6 @@ def _dist_runner(o: SpGEMMOptions, devices: "int | tuple[str, ...]",
         raise OptionsError(
             "resilient / memory_budget do not compose with devices: a "
             "device pool recovers by repartitioning")
-    if o.tune and o.tune_top_k != SpGEMMOptions.tune_top_k:
-        raise OptionsError(
-            f"tune_top_k={o.tune_top_k} does not compose with devices: "
-            f"per-device tuning keeps the default "
-            f"{SpGEMMOptions.tune_top_k}")
     engine = True if o.engine is None else bool(o.engine)
     kw: dict[str, Any] = dict(algorithm=o.algorithm, engine=engine,
                               **algo_opts)
@@ -307,8 +300,7 @@ def runner_for(options: SpGEMMOptions) -> SpGEMMAlgorithm:
 
         store = o.tune_store if isinstance(o.tune_store, TuningStore) else None
         path = o.tune_store if isinstance(o.tune_store, str) else None
-        runner = TunedSpGEMM(algorithm=runner, store=store, store_path=path,
-                             top_k=o.tune_top_k)
+        runner = TunedSpGEMM(algorithm=runner, store=store, store_path=path)
     return runner
 
 

@@ -58,7 +58,7 @@ from repro.serve.policy import ServePolicy
 from repro.serve.queue import WeightedFairQueue
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.expansion import intermediate_product_counts
-from repro.sparse.product import pattern_fingerprint, value_tags
+from repro.sparse.product import operand_key
 from repro.types import Precision
 
 #: How often a blocked worker re-checks deadlines with no queue activity.
@@ -96,8 +96,7 @@ def _digest_job(A: CSRMatrix, B: CSRMatrix, options: SpGEMMOptions) -> tuple:
     """Coalescing key: the operands' pattern fingerprint (memoized, so a
     seen structure is not rehashed), their value tags and the options'
     execution token."""
-    return (pattern_fingerprint(A, B), *value_tags(A, B),
-            options.coalesce_token())
+    return (*operand_key(A, B), options.coalesce_token())
 
 
 class ServedJob:

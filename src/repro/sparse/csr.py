@@ -238,77 +238,6 @@ class CSRMatrix:
                    np.concatenate([p.val for p in parts]),
                    (n_rows, n_cols), check=False)
 
-    def extract_rows(self, indices) -> "CSRMatrix":
-        """Gather arbitrary rows (in the given order) into a new matrix.
-
-        Unlike :meth:`row_panel` the rows need not be contiguous and may
-        repeat; the result owns fresh arrays.  Column dimension is
-        preserved, so ``extracted @ B`` stays well defined.
-        """
-        idx = np.asarray(indices, dtype=INDEX_DTYPE)
-        if idx.ndim != 1:
-            raise SparseFormatError("extract_rows expects a 1-D index array")
-        if idx.size and (idx.min() < 0 or idx.max() >= self.n_rows):
-            raise SparseFormatError(
-                f"extract_rows: indices out of range for {self.n_rows} rows")
-        counts = (self.rpt[idx + 1] - self.rpt[idx]) if idx.size \
-            else np.empty(0, dtype=INDEX_DTYPE)
-        rpt = np.zeros(idx.size + 1, dtype=INDEX_DTYPE)
-        np.cumsum(counts, out=rpt[1:])
-        # gather the entry positions of every selected row in one shot
-        pos = np.repeat(self.rpt[idx] - rpt[:-1], counts) \
-            + np.arange(int(rpt[-1]), dtype=INDEX_DTYPE)
-        return CSRMatrix(rpt, self.col[pos], self.val[pos],
-                         (idx.size, self.n_cols), check=False)
-
-    def col_panel(self, lo: int, hi: int) -> "CSRMatrix":
-        """The vertical slab of columns ``lo:hi`` as its own CSR matrix.
-
-        Row dimension is preserved; kept column indices are rebased to
-        the panel (``lo`` becomes 0), so :meth:`hstack` at consecutive
-        boundaries reassembles the original matrix.
-        """
-        if not 0 <= lo <= hi <= self.n_cols:
-            raise SparseFormatError(
-                f"column panel [{lo}, {hi}) out of range for {self.n_cols} "
-                f"columns")
-        keep = (self.col >= lo) & (self.col < hi)
-        rows = np.repeat(np.arange(self.n_rows, dtype=INDEX_DTYPE),
-                         self.row_nnz())
-        counts = np.bincount(rows[keep], minlength=self.n_rows)
-        rpt = np.zeros(self.n_rows + 1, dtype=INDEX_DTYPE)
-        np.cumsum(counts, out=rpt[1:])
-        return CSRMatrix(rpt, self.col[keep] - lo, self.val[keep],
-                         (self.n_rows, hi - lo), check=False)
-
-    @classmethod
-    def hstack(cls, parts: "list[CSRMatrix]") -> "CSRMatrix":
-        """Concatenate column panels back into one matrix (inverse of
-        splitting via :meth:`col_panel` at consecutive boundaries)."""
-        if not parts:
-            raise SparseFormatError("hstack of zero panels")
-        n_rows = parts[0].n_rows
-        if any(p.n_rows != n_rows for p in parts):
-            raise ShapeMismatchError(
-                f"hstack: row counts differ: {[p.n_rows for p in parts]}")
-        counts = sum(p.row_nnz() for p in parts)
-        rpt = np.zeros(n_rows + 1, dtype=INDEX_DTYPE)
-        np.cumsum(counts, out=rpt[1:])
-        nnz = int(rpt[-1])
-        col = np.empty(nnz, dtype=INDEX_DTYPE)
-        val = np.empty(nnz, dtype=parts[0].dtype)
-        cursor = rpt[:-1].copy()
-        offset = 0
-        for p in parts:
-            pn = p.row_nnz()
-            dst = np.repeat(cursor, pn) + np.arange(p.nnz, dtype=INDEX_DTYPE) \
-                - np.repeat(p.rpt[:-1], pn)
-            col[dst] = p.col + offset
-            val[dst] = p.val
-            cursor += pn
-            offset += p.n_cols
-        return cls(rpt, col, val, (n_rows, offset), check=False)
-
     # -- canonical form -----------------------------------------------------
 
     def is_canonical(self) -> bool:
@@ -342,15 +271,6 @@ class CSRMatrix:
         rows = np.repeat(np.arange(n_rows, dtype=INDEX_DTYPE), self.row_nnz())
         return CSRMatrix(rpt_t, rows[order], self.val[order], (n_cols, n_rows),
                          check=False)
-
-    def scale_rows(self, d: np.ndarray) -> "CSRMatrix":
-        """Return ``diag(d) @ self`` without changing sparsity."""
-        d = np.asarray(d)
-        if d.shape != (self.n_rows,):
-            raise ShapeMismatchError(
-                f"row scaling vector has shape {d.shape}, expected ({self.n_rows},)")
-        val = self.val * np.repeat(d.astype(self.dtype), self.row_nnz())
-        return CSRMatrix(self.rpt, self.col, val, self.shape, check=False)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Sparse matrix-vector product ``self @ x`` (vectorized SpMV)."""

@@ -6,9 +6,9 @@ accounting* differs.  On this reproduction's CPU substrate the expansion +
 contraction is by far the most expensive functional step, so two stores
 sit in front of it:
 
-* a full-result cache keyed by operand identity + value content, serving
-  byte-for-byte repeats (the benchmark suites' pattern: four algorithms
-  squaring one matrix);
+* a full-result cache keyed by :func:`operand_key` (the pattern
+  fingerprint plus the value tags), serving byte-for-byte repeats (the
+  benchmark suites' pattern: four algorithms squaring one matrix);
 * the *recipe store*: one :class:`~repro.sparse.expansion.SortRecipe` per
   pair of sparsity patterns, keyed by :func:`pattern_digest`.  A recipe
   is everything value-independent about a product -- the sort
@@ -32,14 +32,17 @@ sit in front of it:
 
 Operand hashing lives here and nowhere else.  :func:`pattern_digest` is
 the only code that hashes structure bytes and :func:`_val_tag` the only
-code that hashes values.  The ownership contract makes the pattern half
-cheap: a :class:`~repro.sparse.csr.CSRMatrix` owns read-only ``rpt`` and
-``col`` arrays, so a structure array's identity implies its content, and
+code that hashes values; :func:`operand_key` joins the two.  The
+ownership contract makes the pattern half cheap: a
+:class:`~repro.sparse.csr.CSRMatrix` owns read-only ``rpt`` and ``col``
+arrays, so a structure array's identity implies its content, and
 :func:`pattern_fingerprint` memoizes the digest by array identity.  A
 warm iterate -- fresh values on a seen structure -- hashes no structure
-at all; the plan key, the recipe store, the tuner's sketch, the serving
-layer's coalescing key and the distributed layer's resident-B check all
-read the memo.  Values stay writable, so value tags are never memoized.
+at all; the plan key, the recipe store, the tuner's sketch, the
+full-result cache, the serving layer's coalescing key and the
+distributed layer's resident-B check all read the memo.  Values stay
+writable, so value tags are never memoized.  Every key holds digests,
+not arrays, so neither store keeps an operand alive.
 
 The recipe store is an LRU bounded by host bytes
 (:data:`RECIPE_BUDGET_BYTES`, sized from measured working sets); a
@@ -101,10 +104,9 @@ class ProductResult(NamedTuple):
     products, per-row output nnz, A's row lengths and the totals.  They
     are computed once per product and shared by every run that hits it;
     the shared leaf run (:meth:`repro.base.SpGEMMAlgorithm._run`) takes
-    them from :func:`product_for`.
+    them from :func:`product_for`.  No field refers to an operand.
     """
 
-    anchors: tuple               #: strong refs keeping the id()-key valid
     row_products: np.ndarray     #: Alg. 2 counts per row (int64)
     row_nnz: np.ndarray          #: output nnz per row (int64)
     nnz_a: np.ndarray            #: A's row lengths (int64)
@@ -140,16 +142,6 @@ def value_tags(A: CSRMatrix, B: CSRMatrix | None = None) -> tuple[bytes, ...]:
     if B is None:
         return (a_tag,)
     return a_tag, (a_tag if B.val is A.val else _val_tag(B.val))
-
-
-def _key(A: CSRMatrix, B: CSRMatrix) -> tuple:
-    """Cache key: structure arrays by identity, values by content.
-
-    Repeated runs of the same matrix object (the benchmark suite's
-    pattern) hit; value-only updates on a shared structure miss the
-    full-result cache (and land on the recipe store), keeping the
-    functional layer exact."""
-    return (id(A.rpt), id(A.col), id(B.rpt), id(B.col), *value_tags(A, B))
 
 
 def pattern_digest(A: CSRMatrix, B: CSRMatrix | None = None) -> str:
@@ -195,29 +187,31 @@ def pattern_fingerprint(A: CSRMatrix, B: CSRMatrix | None = None) -> str:
     return digest
 
 
-def recipe_for(A: CSRMatrix, B: CSRMatrix,
-               digest: str | None = None) -> SortRecipe:
+def operand_key(A: CSRMatrix, B: CSRMatrix | None = None) -> tuple:
+    """``(pattern fingerprint, *value tags)``: equal keys mean
+    byte-identical operands.  A value-only update on a shared structure
+    changes the key (and lands on the recipe store)."""
+    return (pattern_fingerprint(A, B), *value_tags(A, B))
+
+
+def recipe_for(A: CSRMatrix, B: CSRMatrix) -> SortRecipe:
     """The sort recipe for the operand *patterns*, from the recipe store.
 
-    ``digest`` is :func:`pattern_digest` of ``(A, B)`` when the caller
-    already holds it (a plan key carries it); otherwise it comes from
-    the memo, :func:`pattern_fingerprint`.  Content keying plus the
-    ownership contract (read-only structure arrays) makes staleness
-    impossible: a different pattern is a different array, hence a
-    different digest.  The returned arrays are shared by every product
-    computed from the same pattern; the output matrix built on them
-    freezes them like any other structure.  A hit, cold or indexed,
-    computes nothing.  A miss is filled by the cold pass through
-    :func:`compute_product`, whose values go to the full-result cache:
-    the tuner's sketch reads the store before a tuned multiply computes
-    any values, and that multiply then hits the cache instead of
-    sorting again.
+    The store is keyed by the memoized :func:`pattern_fingerprint`.
+    Content keying plus the ownership contract (read-only structure
+    arrays) makes staleness impossible: a different pattern is a
+    different array, hence a different digest.  The returned arrays are
+    shared by every product computed from the same pattern; the output
+    matrix built on them freezes them like any other structure.  A hit,
+    cold or indexed, computes nothing.  A miss is filled by the cold
+    pass through :func:`compute_product`, whose values go to the
+    full-result cache: the tuner's sketch reads the store before a tuned
+    multiply computes any values, and that multiply then hits the cache
+    instead of sorting again.
     """
-    if digest is None:
-        digest = pattern_fingerprint(A, B)
-    recipe = _recipes.get(digest)
+    recipe = _recipes.get(pattern_fingerprint(A, B))
     if recipe is None:
-        recipe = _product(A, B, _key(A, B), digest)[0]
+        recipe = _product(A, B, operand_key(A, B))[0]
     return recipe
 
 
@@ -252,15 +246,15 @@ def recipe_values(A: CSRMatrix, B: CSRMatrix, digest: str | None = None
     return recipe, values_from_recipe(recipe, A, B)
 
 
-def _product(A: CSRMatrix, B: CSRMatrix, key: tuple,
-             digest: str | None = None) -> tuple[SortRecipe, ProductResult]:
+def _product(A: CSRMatrix, B: CSRMatrix,
+             key: tuple) -> tuple[SortRecipe, ProductResult]:
     """Compute ``A @ B`` along the recipe store and cache it under
-    ``key``; returns the recipe beside the result."""
-    recipe, val = recipe_values(A, B, digest)
+    ``key``, an :func:`operand_key`; returns the recipe beside the
+    result."""
+    recipe, val = recipe_values(A, B, key[0])
     C = CSRMatrix(recipe.rpt, recipe.col, val, recipe.shape, check=False)
     row_products = recipe.row_counts.astype(np.int64)
-    result = ProductResult(anchors=(A.rpt, A.col, B.rpt, B.col),
-                           row_products=row_products,
+    result = ProductResult(row_products=row_products,
                            row_nnz=C.row_nnz().astype(np.int64),
                            nnz_a=A.row_nnz().astype(np.int64),
                            n_products=int(row_products.sum()), C=C)
@@ -270,9 +264,9 @@ def _product(A: CSRMatrix, B: CSRMatrix, key: tuple,
 
 def compute_product(A: CSRMatrix, B: CSRMatrix) -> ProductResult:
     """The memoized expansion + contraction of ``A @ B``."""
-    key = _key(A, B)
+    key = operand_key(A, B)
     hit = _cache.get(key)
-    if hit is not None and hit.anchors[0] is A.rpt:
+    if hit is not None:
         return hit
     return _product(A, B, key)[1]
 

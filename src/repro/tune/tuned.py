@@ -25,7 +25,7 @@ from repro.obs import events as OBS
 from repro.obs.events import Event
 from repro.sparse.csr import CSRMatrix
 from repro.tune.store import TuningStore
-from repro.tune.tuner import DEFAULT_TOP_K, Autotuner, TuneResult, tuning_family
+from repro.tune.tuner import Autotuner, TuneResult, tuning_family
 from repro.types import Precision
 
 
@@ -37,12 +37,10 @@ class TunedSpGEMM(SpGEMMAlgorithm):
     def __init__(self, *,
                  algorithm: "str | SpGEMMAlgorithm" = "proposal",
                  store: TuningStore | None = None,
-                 store_path: str | None = None,
-                 top_k: int = DEFAULT_TOP_K, **algo_options) -> None:
+                 store_path: str | None = None, **algo_options) -> None:
         from repro.baselines import registry
 
         self.store = store if store is not None else TuningStore(store_path)
-        self.top_k = top_k
         if isinstance(algorithm, SpGEMMAlgorithm):
             # a ready runner, possibly engine- or resilience-wrapped
             self.inner: SpGEMMAlgorithm = algorithm
@@ -97,8 +95,7 @@ class TunedSpGEMM(SpGEMMAlgorithm):
         family = tuning_family(leaf, device)
         result = None
         if family is not None:
-            tuner = Autotuner(device, p, store=self.store, top_k=self.top_k,
-                              family=family)
+            tuner = Autotuner(device, p, store=self.store, family=family)
             result = tuner.tune(A2, B2, matrix_name=matrix_name)
             leaf.apply_param_overrides(result.overrides)
 

@@ -11,9 +11,10 @@ Three stages, cheap to expensive:
    modeled as the max over per-stream sums, the Group-0 retry serial.
    Infeasible candidates (a :class:`~repro.errors.DeviceConfigError` from
    the table builder) score infinity.
-2. *Measure* -- the paper's default plus the ``top_k`` best-scoring
-   candidates run a real :class:`~repro.core.spgemm.HashSpGEMM` multiply;
-   the full event-scheduler figure (``report.total_seconds``) decides.
+2. *Measure* -- the paper's default plus the :data:`DEFAULT_TOP_K`
+   best-scoring candidates run a real :class:`~repro.core.spgemm.
+   HashSpGEMM` multiply; the full event-scheduler figure
+   (``report.total_seconds``) decides.
 3. *Validate* -- the winner's output is checked against the reference
    oracle.  A tuned config that is not strictly faster than the default,
    or that fails validation, is discarded in favor of the default -- so
@@ -113,8 +114,7 @@ def candidate_space(device: DeviceSpec) -> list[ParamOverrides]:
     Each axis includes ``None`` = "keep the Section III-D value", so the
     all-default :class:`ParamOverrides` is always candidate 0 and every
     candidate carries only its *deviations* (keeping plan-cache keys and
-    store entries minimal).  ``hash_scal`` is not searched: the cost
-    model is multiplier-invariant, so no candidate could win on it.
+    store entries minimal).
 
     ``symbolic`` is the outermost axis: every table configuration is
     scored under both the exact counting pass (``None``) and the sampled
@@ -241,12 +241,13 @@ class Autotuner:
     ``store`` (a :class:`~repro.tune.store.TuningStore`) short-circuits
     repeat instances; ``None`` tunes from scratch every call.  Families
     namespace their sketch digests, so one store serves all of them
-    without key collisions.
+    without key collisions.  A stored entry that does not decode (the
+    store is input from outside the program) counts as absent: the
+    search runs and overwrites it.
     """
 
     def __init__(self, device: DeviceSpec, precision: Precision | str, *,
                  store: TuningStore | None = None,
-                 top_k: int = DEFAULT_TOP_K,
                  family: TuningFamily | None = None) -> None:
         self.device = device
         self.backend = backend_for_spec(device)
@@ -260,7 +261,6 @@ class Autotuner:
         self.family = family
         self.precision = Precision.parse(precision)
         self.store = store
-        self.top_k = max(1, int(top_k))
 
     def _measure(self, A: CSRMatrix, B: CSRMatrix, ov,
                  matrix_name: str):
@@ -284,8 +284,12 @@ class Autotuner:
             entry = self.store.get(self.device.name, self.precision.value,
                                    digest)
             if entry is not None:
-                return TuneResult.from_entry(entry, digest,
-                                             self.family.param_type.from_dict)
+                try:
+                    return TuneResult.from_entry(
+                        entry, digest, self.family.param_type.from_dict)
+                except (TypeError, ValueError, AttributeError,
+                        AlgorithmError):
+                    pass                # damaged entry: tune afresh
 
         default_ov = self.family.param_type()
         candidates = self.family.candidates(self.device)
@@ -301,7 +305,7 @@ class Autotuner:
         best_ov, best_seconds, best_score, best_res = (
             default_ov, default_seconds, default_score, default_res)
         measured = 1
-        for score, ov in ranked[:self.top_k]:
+        for score, ov in ranked[:DEFAULT_TOP_K]:
             seconds, res = self._measure(A, B, ov, matrix_name)
             measured += 1
             if seconds < best_seconds:

@@ -109,6 +109,19 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["multiply", "--generate", "fractal:10:2"])
 
+    def test_serve_trace_spec_errors(self, tmp_path):
+        """``serve --trace`` parses its generator specs like
+        ``--generate``: a malformed one exits with the same message."""
+        import json
+
+        trace = tmp_path / "trace.json"
+        trace.write_text(json.dumps(
+            [{"tenant": "a", "matrix": "banded:12x:4"}]))
+        with pytest.raises(SystemExit) as err:
+            main(["serve", "--trace", str(trace)])
+        assert err.value.code == ("bad --generate spec 'banded:12x:4'; "
+                                  "expected KIND:N:NNZ")
+
     def test_datasets_listing(self, capsys):
         assert main(["datasets"]) == 0
         out = capsys.readouterr().out

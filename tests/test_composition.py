@@ -116,8 +116,7 @@ def test_zero_row_product(algorithm, wrapper, shapes):
 
 
 #: The streaming passes over per-row arrays each leaf runs
-#: (``pass_over_rows_kernel`` on the GPU, ``pass_over_rows_cpu_kernel``
-#: on the CPU).
+#: (``pass_over_rows_kernel`` on both backends).
 PASS_KERNELS = {"bhsparse": {"bhsparse_binning"},
                 "hash-cpu": {"scan_rpt_c"},
                 "heap-cpu": {"scan_rpt_c"},

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.params import (ASSIGN_GLOBAL, ASSIGN_PWARP, ASSIGN_TB,
-                               build_group_table, pow2_floor)
+                               ParamOverrides, build_group_table, pow2_floor)
 from repro.errors import DeviceConfigError
 from repro.gpu.device import K40, P100
 
@@ -111,14 +111,14 @@ class TestOtherConfigurations:
         assert len(table) >= 3
 
     def test_pwarp_width_override(self):
-        t8 = build_group_table(P100, pwarp_width=8)
+        t8 = build_group_table(P100, overrides=ParamOverrides(pwarp_width=8))
         assert t8.pwarp_group.rows_per_block == 64
 
     def test_pwarp_width_bounds(self):
-        with pytest.raises(DeviceConfigError):
-            build_group_table(P100, pwarp_width=0)
-        with pytest.raises(DeviceConfigError):
-            build_group_table(P100, pwarp_width=64)
+        for width in (0, 64):
+            with pytest.raises(DeviceConfigError):
+                build_group_table(
+                    P100, overrides=ParamOverrides(pwarp_width=width))
 
     def test_tiny_shared_memory_rejected(self):
         import dataclasses

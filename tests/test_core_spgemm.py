@@ -47,7 +47,7 @@ class TestCorrectness:
         A = GENS["power_law"](rng)
         base = HashSpGEMM().multiply(A, A).matrix
         for options in ({"use_streams": False}, {"use_pwarp": False},
-                        {"pwarp_width": 8}):
+                        {"overrides": {"pwarp_width": 8}}):
             other = HashSpGEMM(**options).multiply(A, A).matrix
             assert other.allclose(base, rtol=1e-12)
 
@@ -117,8 +117,8 @@ class TestAblations:
     def test_pwarp_width_4_beats_extremes(self, rng):
         """Section III-B: 4 threads per row is the stable sweet spot."""
         A = generators.stencil_regular(8000, 4, rng=rng)
-        times = {w: HashSpGEMM(pwarp_width=w).multiply(A, A).report.total_seconds
-                 for w in (1, 4, 16)}
+        times = {w: HashSpGEMM(overrides={"pwarp_width": w})
+                 .multiply(A, A).report.total_seconds for w in (1, 4, 16)}
         assert times[4] < times[1]
         assert times[4] <= times[16] * 1.05
 

@@ -171,13 +171,8 @@ def test_dist_sizes_per_device_plan_caches():
                 for s in r.pool().slots] == [1234, 1234]
 
 
-def test_dist_rejects_non_default_tune_top_k():
-    with pytest.raises(OptionsError, match="tune_top_k"):
-        runner_for(SpGEMMOptions(devices=2, tune=True, tune_top_k=5))
-    # the default search width composes, and top-k without tuning is moot
+def test_dist_composes_with_tuning():
     assert isinstance(runner_for(SpGEMMOptions(devices=2, tune=True)),
-                      DistSpGEMM)
-    assert isinstance(runner_for(SpGEMMOptions(devices=2, tune_top_k=5)),
                       DistSpGEMM)
 
 

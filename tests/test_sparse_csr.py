@@ -141,16 +141,6 @@ class TestArithmetic:
         with pytest.raises(ShapeMismatchError):
             tiny.matvec(np.ones(9))
 
-    def test_scale_rows(self, tiny):
-        d = np.array([1.0, 2.0, 3.0, 4.0])
-        scaled = tiny.scale_rows(d)
-        np.testing.assert_allclose(scaled.to_dense(),
-                                   np.diag(d) @ tiny.to_dense())
-
-    def test_scale_rows_shape_error(self, tiny):
-        with pytest.raises(ShapeMismatchError):
-            tiny.scale_rows(np.ones(2))
-
     def test_matmul_operator(self, tiny):
         product = tiny @ tiny
         expected = to_scipy(tiny) @ to_scipy(tiny)
@@ -214,71 +204,6 @@ class TestOwnership:
         panel = small_banded.row_panel(10, 40)
         assert np.shares_memory(panel.col, small_banded.col)
         assert not panel.col.flags.writeable
-
-
-class TestExtractRows:
-    def test_preserves_order_and_repeats(self, small_random):
-        idx = [5, 2, 2, 59, 0]
-        sub = small_random.extract_rows(idx)
-        assert sub.shape == (5, small_random.n_cols)
-        np.testing.assert_array_equal(
-            sub.to_dense(), small_random.to_dense()[idx])
-
-    def test_matches_row_panel_for_contiguous_range(self, small_banded):
-        sub = small_banded.extract_rows(np.arange(10, 40))
-        panel = small_banded.row_panel(10, 40)
-        np.testing.assert_array_equal(sub.rpt, panel.rpt)
-        np.testing.assert_array_equal(sub.col, panel.col)
-        np.testing.assert_array_equal(sub.val, panel.val)
-
-    def test_empty_selection(self, tiny):
-        sub = tiny.extract_rows([])
-        assert sub.shape == (0, tiny.n_cols) and sub.nnz == 0
-
-    def test_out_of_range_rejected(self, tiny):
-        with pytest.raises(SparseFormatError, match="out of range"):
-            tiny.extract_rows([0, 4])
-        with pytest.raises(SparseFormatError, match="out of range"):
-            tiny.extract_rows([-1])
-
-    def test_rejects_2d_indices(self, tiny):
-        with pytest.raises(SparseFormatError, match="1-D"):
-            tiny.extract_rows([[0, 1]])
-
-
-class TestColPanelHstack:
-    def test_col_panel_matches_dense_slice(self, small_random):
-        panel = small_random.col_panel(10, 45)
-        np.testing.assert_array_equal(
-            panel.to_dense(), small_random.to_dense()[:, 10:45])
-
-    def test_round_trip_at_consecutive_boundaries(self, small_banded):
-        cuts = [0, 37, 37, 120, small_banded.n_cols]
-        parts = [small_banded.col_panel(lo, hi)
-                 for lo, hi in zip(cuts, cuts[1:])]
-        back = CSRMatrix.hstack(parts)
-        assert back.shape == small_banded.shape
-        np.testing.assert_array_equal(back.rpt, small_banded.rpt)
-        np.testing.assert_array_equal(back.col, small_banded.col)
-        np.testing.assert_array_equal(back.val, small_banded.val)
-
-    def test_hstack_preserves_canonical_order(self, small_random):
-        parts = [small_random.col_panel(0, 30), small_random.col_panel(30, 60)]
-        assert CSRMatrix.hstack(parts).is_canonical()
-
-    def test_col_panel_range_errors(self, tiny):
-        with pytest.raises(SparseFormatError, match="out of range"):
-            tiny.col_panel(2, 5)
-        with pytest.raises(SparseFormatError, match="out of range"):
-            tiny.col_panel(-1, 2)
-
-    def test_hstack_row_count_mismatch(self, tiny):
-        with pytest.raises(ShapeMismatchError, match="row counts"):
-            CSRMatrix.hstack([tiny, tiny.row_panel(0, 2)])
-
-    def test_hstack_empty_list(self):
-        with pytest.raises(SparseFormatError, match="zero panels"):
-            CSRMatrix.hstack([])
 
 
 class TestVstackPinned:

@@ -454,9 +454,8 @@ class TestFingerprintMemo:
         A = self._banded()
         pattern_fingerprint(A, A)
         recipe_for(A, A)
-        # the store's miss cached the product, whose anchors hold the
-        # operands by design; the memo and the store hold none
-        _cache.clear()
+        # the store's miss cached the product under its operand key:
+        # the memo, the store and the product cache hold no operand
         ref = weakref.ref(A.col)
         del A
         gc.collect()

@@ -140,6 +140,35 @@ def test_store_stale_lock_is_broken(tmp_path):
     assert not lock.exists()
 
 
+@pytest.mark.parametrize("damaged", [
+    {"symbolic": "bogus"},          # an unknown symbolic mode
+    {"t_max": "abc"},               # a value of the wrong kind
+    {"frobnicate": 3},              # a field no version had
+    {"hash_scal": 5},               # a field an older version had
+    ["t_max", 1024],                # not a mapping at all
+], ids=["symbolic", "t_max", "unknown", "hash_scal", "not_a_dict"])
+def test_undecodable_store_entry_is_retuned(tmp_path, A, damaged):
+    """The store file is input from outside the program: an entry whose
+    overrides do not decode counts as absent, so the multiply re-tunes,
+    returns the oracle's result and overwrites the entry."""
+    path = str(tmp_path / "tune.json")
+    store = TuningStore(path)
+    Autotuner(K40, "double", store=store).tune(A, A)
+    (key,) = store.entries
+    store.entries[key]["overrides"] = damaged
+    store.save(merge=False)
+
+    res = multiply(A, A, device=K40, tune=True, tune_store=path)
+    assert E.TUNE_SEARCH in [e.kind for e in res.report.events]
+    got, ref = res.matrix.canonicalize(), spgemm_reference(A, A)
+    assert np.array_equal(got.rpt, ref.rpt)
+    assert np.array_equal(got.col, ref.col)
+    np.testing.assert_allclose(got.val, ref.val, rtol=1e-12)
+    stored = TuningStore(path).entries[key]["overrides"]
+    assert stored != damaged
+    ParamOverrides.from_dict(stored)       # decodes now
+
+
 # -- the search -------------------------------------------------------------
 
 def test_candidate_space_includes_default_first():
